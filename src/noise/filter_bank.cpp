@@ -166,6 +166,8 @@ FilterBankFlicker::FilterBankFlicker(const Config& config)
     inv_one_m_rho2_[k] = 1.0 / (1.0 - rho * rho);
   }
 
+  packed_stages_ = rho_.size() & ~std::size_t{3};
+
   // One decorrelated stream per stage; each stage starts in its
   // stationary distribution drawn from its own stream.
   gauss_.reserve(rho_.size());
@@ -177,16 +179,53 @@ FilterBankFlicker::FilterBankFlicker(const Config& config)
   }
 }
 
+std::size_t FilterBankFlicker::take_ahead(std::size_t n) {
+  if (ahead_end_ - ahead_pos_ < n) {
+    // Refill: carry the unread draws (at most n - 1) to the front, then
+    // draw the rest of the block — packs through fill_lanes, the tail
+    // stage by stage. Each stage's stream is consumed strictly in order,
+    // so the buffered values are exactly what per-call draws would be.
+    const std::size_t n_stages = rho_.size();
+    ahead_.resize(n_stages * kAhead);
+    const std::size_t keep = ahead_end_ - ahead_pos_;
+    for (std::size_t p = 0; p < packed_stages_; p += simd::kLanes) {
+      double* const z = ahead_.data() + p * kAhead;
+      std::copy(z + simd::kLanes * ahead_pos_, z + simd::kLanes * ahead_end_,
+                z);
+      GaussianSampler::fill_lanes(
+          {&gauss_[p], &gauss_[p + 1], &gauss_[p + 2], &gauss_[p + 3]},
+          {z + simd::kLanes * keep, simd::kLanes * (kAhead - keep)});
+    }
+    for (std::size_t s = packed_stages_; s < n_stages; ++s) {
+      double* const z = ahead_.data() + s * kAhead;
+      std::copy(z + ahead_pos_, z + ahead_end_, z);
+      gauss_[s].fill({z + keep, kAhead - keep});
+    }
+    ahead_pos_ = 0;
+    ahead_end_ = kAhead;
+  }
+  const std::size_t i = ahead_pos_;
+  ahead_pos_ += n;
+  return i;
+}
+
 double FilterBankFlicker::next() {
+  const std::size_t i = take_ahead(1);
   double sum = 0.0;
   for (std::size_t k = 0; k < rho_.size(); ++k) {
-    state_[k] = rho_[k] * state_[k] + drive_[k] * gauss_[k]();
+    state_[k] = rho_[k] * state_[k] + drive_[k] * ahead_[ahead_index(k, i)];
     sum += state_[k];
   }
   return sum;
 }
 
 void FilterBankFlicker::fill(std::span<double> out) {
+  // Drain the draw-ahead block first: its draws precede anything the
+  // block path below takes from the streams.
+  const std::size_t drained =
+      std::min(out.size(), ahead_end_ - ahead_pos_);
+  for (std::size_t i = 0; i < drained; ++i) out[i] = next();
+  out = out.subspan(drained);
   const std::size_t n_stages = rho_.size();
   // SIMD pack path (docs/ARCHITECTURE.md §5 "SIMD rules"): 4 stages per
   // vector, lane-wise through time, fed interleaved by fill_lanes. Each
@@ -339,11 +378,12 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
   // unchanged); the counter path revisits the same few k values per
   // window and paid ~19 std::pow calls each time.
   const auto& terms = advance_terms(k);
+  const std::size_t i = take_ahead(2);
   double total = 0.0;
   for (std::size_t s = 0; s < rho_.size(); ++s) {
     const AdvanceTerms& t = terms[s];
-    const double z1 = gauss_[s]();
-    const double z2 = gauss_[s]();
+    const double z1 = ahead_[ahead_index(s, i)];
+    const double z2 = ahead_[ahead_index(s, i + 1)];
     const double mean_s = t.mean_coef * state_[s];
     const double x_new = t.q * state_[s] + t.sd_x * z1;
     double sum;

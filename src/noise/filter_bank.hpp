@@ -12,7 +12,11 @@
 // stage) and every stage owns a decorrelated RNG stream
 // (chunk_seed(seed, stage)), so the batched fill() path can draw each
 // stage's Gaussians in one block per stage while staying bit-identical to
-// sample-by-sample next() calls (docs/ARCHITECTURE.md §5).
+// sample-by-sample next() calls (docs/ARCHITECTURE.md §5). The per-sample
+// paths (next(), advance_sum()) read their Gaussians from a draw-ahead
+// block that holds the next few dozen draws of every stage, filled in
+// 4-stage SIMD packs; since every call consumes the same number of draws
+// from each stage, one lockstep cursor serves all stages.
 #pragma once
 
 #include <array>
@@ -106,6 +110,29 @@ class FilterBankFlicker final : public NoiseSource {
   /// each stream in the same order as interleaved per-sample draws.
   std::vector<GaussianSampler> gauss_;
   std::vector<double> scratch_;  ///< fill() per-stage staging (stages x block)
+
+  /// Draw-ahead block: the next kAhead Gaussians of every stage, drawn
+  /// ahead of use so next() and advance_sum() pay the batched SIMD draw
+  /// cost instead of one scalar draw per stage per call. Stages in full
+  /// 4-stage packs sit interleaved as GaussianSampler::fill_lanes writes
+  /// them (pack p at [4p*kAhead, 4(p+1)*kAhead), draw i of lane l at
+  /// 4i + l); each tail stage s owns [s*kAhead, (s+1)*kAhead). Allocated
+  /// on first use, so fill()-only generators never pay for it.
+  static constexpr std::size_t kAhead = 64;
+  std::vector<double> ahead_;
+  std::size_t ahead_pos_ = 0;  ///< lockstep cursor: next unread draw index
+  std::size_t ahead_end_ = 0;  ///< draws buffered per stage
+  std::size_t packed_stages_ = 0;  ///< stages in full 4-stage packs
+  /// Index of stage s's draw i inside ahead_.
+  [[nodiscard]] std::size_t ahead_index(std::size_t s,
+                                        std::size_t i) const noexcept {
+    return s < packed_stages_
+               ? (s & ~std::size_t{3}) * kAhead + 4 * i + (s & 3)
+               : s * kAhead + i;
+  }
+  /// Returns the cursor of the next `n` (1 or 2) buffered draws per
+  /// stage and moves past them, refilling first when fewer remain.
+  std::size_t take_ahead(std::size_t n);
 
   /// Per-stage advance_sum moment terms for one block length k — every
   /// value exactly what the former inline computation produced, so
