@@ -59,18 +59,6 @@ double node_flicker_multiplier(const transistor::TechnologyNode& node) {
          transistor::technology_node("180nm").alpha_flicker;
 }
 
-oscillator::RingOscillatorConfig derated_ring(
-    std::uint64_t seed, double mismatch, const CornerSpec& spec,
-    const transistor::TechnologyNode& node,
-    const transistor::OperatingCorner& corner) {
-  auto cfg = oscillator::paper_single_config(seed);
-  cfg.mismatch = mismatch;
-  cfg.b_fl *= spec.flicker_scale * node_flicker_multiplier(node);
-  cfg.b_th *= corner.thermal_noise_scale();
-  cfg.f0 *= corner.speed_scale();
-  return cfg;
-}
-
 std::unique_ptr<trng::BitSource> make_device(const CornerSpec& spec,
                                              std::uint64_t shard_seed,
                                              const CampaignConfig& config) {
@@ -83,9 +71,8 @@ std::unique_ptr<trng::BitSource> make_device(const CornerSpec& spec,
     // construction: same seed fan, same mismatch split, with the
     // node/corner derating applied BEFORE the attack transform (the
     // attack sees the deployed device, not the paper bench).
-    auto sampled = derated_ring(shard_seed, +1.5e-3, spec, node, corner);
-    auto sampling = derated_ring(shard_seed ^ 0xabcdef9876ULL, -1.5e-3,
-                                 spec, node, corner);
+    auto sampled = derated_ring(spec, shard_seed, +1.5e-3);
+    auto sampling = derated_ring(spec, shard_seed ^ 0xabcdef9876ULL, -1.5e-3);
     trng::EroTrngConfig cfg;
     cfg.divider = config.divider;
     if (!attack) {
@@ -103,7 +90,7 @@ std::unique_ptr<trng::BitSource> make_device(const CornerSpec& spec,
   }
 
   if (spec.generator == "multi_ring") {
-    auto base = derated_ring(shard_seed, 0.0, spec, node, corner);
+    auto base = derated_ring(spec, shard_seed, 0.0);
     // Injection couples into the whole die: the suppression/entrainment
     // transform applies to the shared base config. The per-ring
     // deterministic beat is not modeled here (MultiRingTrng owns its
@@ -179,6 +166,19 @@ Sha256::Digest campaign_digest(const CampaignConfig& config) {
 
 // ---------------------------------------------------------------------
 // Grid + config identity
+
+oscillator::RingOscillatorConfig derated_ring(const CornerSpec& spec,
+                                              std::uint64_t seed,
+                                              double mismatch) {
+  const auto& node = transistor::technology_node(spec.node);
+  const auto& corner = transistor::standard_corner(spec.corner);
+  auto cfg = oscillator::paper_single_config(seed);
+  cfg.mismatch = mismatch;
+  cfg.b_fl *= spec.flicker_scale * node_flicker_multiplier(node);
+  cfg.b_th *= corner.thermal_noise_scale();
+  cfg.f0 *= corner.speed_scale();
+  return cfg;
+}
 
 std::string CornerSpec::name() const {
   std::ostringstream os;

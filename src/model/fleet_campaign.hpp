@@ -36,6 +36,7 @@
 #include <string>
 #include <vector>
 
+#include "oscillator/ring_oscillator.hpp"
 #include "stats/descriptive.hpp"
 
 namespace ptrng::model {
@@ -159,6 +160,14 @@ struct CampaignState {
 /// config.corners truncates to the first N cells.
 [[nodiscard]] std::vector<CornerSpec> expand_grid(
     const CampaignConfig& config);
+
+/// One ring of a ring-family device (ero / multi_ring) at `spec`'s
+/// operating point: the paper calibration (a 180nm-class ring) with
+/// b_fl scaled by spec.flicker_scale and the node's flicker multiplier,
+/// b_th and f0 derated by the operating corner, and `mismatch` set.
+/// run_shard builds every ring it simulates through this.
+[[nodiscard]] oscillator::RingOscillatorConfig derated_ring(
+    const CornerSpec& spec, std::uint64_t seed, double mismatch);
 
 /// Canonical, timestamp-free config string — the checkpoint key.
 [[nodiscard]] std::string canonical_config(const CampaignConfig& config);

@@ -330,14 +330,15 @@ void FilterBankFlicker::fill(std::span<double> out) {
   }
 }
 
-const std::vector<FilterBankFlicker::AdvanceTerms>&
-FilterBankFlicker::advance_terms(std::size_t k) {
+const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(
+    std::size_t k) {
   for (const auto& entry : advance_cache_)
-    if (entry.k == k) return entry.terms;
+    if (entry.k == k) return entry;
   AdvanceCacheEntry& entry = advance_cache_[advance_cache_next_];
   advance_cache_next_ = (advance_cache_next_ + 1) % advance_cache_.size();
   entry.k = k;
   entry.terms.resize(rho_.size());
+  entry.sum_variance = 0.0;
   const double kd = static_cast<double>(k);
   for (std::size_t s = 0; s < rho_.size(); ++s) {
     const double rho = rho_[s];
@@ -366,8 +367,16 @@ FilterBankFlicker::advance_terms(std::size_t k) {
       t.resid_sd = 0.0;
       t.sd_s = std::sqrt(std::max(0.0, var_s));
     }
+    // Var(S) = Var(E[S|x_0]) + E[Var(S|x_0)], x_0 ~ N(0, sigma^2).
+    entry.sum_variance += t.mean_coef * t.mean_coef * sigma_[s] * sigma_[s] +
+                          std::max(0.0, var_s);
   }
-  return entry.terms;
+  return entry;
+}
+
+double FilterBankFlicker::sum_variance(std::size_t k) {
+  PTRNG_EXPECTS(k >= 1);
+  return advance_terms(k).sum_variance;
 }
 
 double FilterBankFlicker::advance_sum(std::size_t k) {
@@ -377,7 +386,7 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
   // doubles the inline computation produced, so realized streams are
   // unchanged); the counter path revisits the same few k values per
   // window and paid ~19 std::pow calls each time.
-  const auto& terms = advance_terms(k);
+  const auto& terms = advance_terms(k).terms;
   const std::size_t i = take_ahead(2);
   double total = 0.0;
   for (std::size_t s = 0; s < rho_.size(); ++s) {

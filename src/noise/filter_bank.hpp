@@ -80,6 +80,13 @@ class FilterBankFlicker final : public NoiseSource {
   /// with next()/fill() on the same generator.
   [[nodiscard]] double advance_sum(std::size_t k);
 
+  /// Stationary variance of the sum of k consecutive samples — the
+  /// flicker part of Eq. 11's sigma^2_N at N = k: per stage, the
+  /// variance of the conditional mean given the current state plus the
+  /// conditional variance advance_sum(k) draws around it. O(stages) and
+  /// memoized with advance_sum's terms; draws nothing.
+  [[nodiscard]] double sum_variance(std::size_t k);
+
   /// Exact two-sided PSD of this generator (sum of discrete Lorentzians) at
   /// frequency f — what Welch estimates should converge to.
   [[nodiscard]] double analytic_psd(double f) const;
@@ -148,13 +155,14 @@ class FilterBankFlicker final : public NoiseSource {
   struct AdvanceCacheEntry {
     std::size_t k = 0;  ///< block length; 0 marks an empty slot
     std::vector<AdvanceTerms> terms;
+    double sum_variance = 0.0;  ///< sum_variance(k)
   };
   /// Small round-robin memo keyed on k: the counter's window loop
   /// revisits the same few block lengths (n_cycles plus jump sizes that
   /// jitter by +-1 period) millions of times, and recomputing cost
   /// ~stage_count std::pow calls per advance. 8 slots cover that
   /// working set with room for the jitter.
-  const std::vector<AdvanceTerms>& advance_terms(std::size_t k);
+  const AdvanceCacheEntry& advance_terms(std::size_t k);
   std::array<AdvanceCacheEntry, 8> advance_cache_{};
   std::size_t advance_cache_next_ = 0;
 };

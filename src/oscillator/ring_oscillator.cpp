@@ -7,6 +7,23 @@
 
 namespace ptrng::oscillator {
 
+namespace {
+
+// advance_to_block's landing margin for unmodulated oscillators: the
+// jump stops kMarginPeriods + kMarginSigmas * sigma_N short of the
+// target, sigma_N the stationary stddev of the jump's elapsed time
+// (thermal plus flicker, Eq. 11). The jump's error is exactly Gaussian,
+// so at 10 sigma an overshoot has probability ~8e-24 per jump at any
+// noise level — under 1e-14 over a full campaign's ~1e8 jumps. The
+// fixed eighth of a period keeps a margin far above rounding when
+// sigma_N is tiny. Each extra period of margin costs one more
+// next_period() step per call; at paper levels the margin is ~0.3
+// period, so a call steps 1.3 times on average.
+constexpr double kMarginPeriods = 0.125;
+constexpr double kMarginSigmas = 10.0;
+
+}  // namespace
+
 RingOscillator::RingOscillator(const RingOscillatorConfig& config)
     : config_(config),
       gauss_(config.seed, noise::resolved_sampler(config).gauss_method) {
@@ -144,13 +161,35 @@ void RingOscillator::advance_periods(std::uint64_t k) {
 
 EdgeBracket RingOscillator::advance_to_block(double t_target,
                                              EdgeBracket bracket) {
-  for (;;) {
-    const double gap = t_target - bracket.next;
-    const auto skip =
-        static_cast<std::uint64_t>(std::max(0.0, 0.9 * gap / t_nom_));
-    if (skip < 16) break;
-    advance_periods(skip);
-    bracket.next = edge_time();
+  PTRNG_EXPECTS(bracket.next == edge_time());
+  if (modulation_) {
+    // No closed form for the modulated elapsed time: jump 90% of the
+    // remaining gap (advance_periods integrates the modulation in
+    // 64-period chunks) until fewer than 16 periods remain.
+    for (;;) {
+      const double gap = t_target - bracket.next;
+      const auto skip =
+          static_cast<std::uint64_t>(std::max(0.0, 0.9 * gap / t_nom_));
+      if (skip < 16) break;
+      advance_periods(skip);
+      bracket.next = edge_time();
+    }
+  } else {
+    // One jump sized from the oscillator's own accumulated jitter over
+    // the gap (sigma_N at N = ceil(gap), an upper bound for the jump
+    // itself), landing under 1 + margin periods short of the target.
+    const double gap = (t_target - bracket.next) / t_nom_;
+    if (gap > 1.0 + kMarginPeriods) {
+      const auto n = static_cast<std::uint64_t>(std::ceil(gap));
+      double var = static_cast<double>(n) * sigma_th_ * sigma_th_;
+      if (flicker_) var += flicker_->sum_variance(n);
+      const double skip =
+          gap - kMarginPeriods - kMarginSigmas * std::sqrt(var) / t_nom_;
+      if (skip >= 1.0) {
+        advance_periods(static_cast<std::uint64_t>(skip));
+        bracket.next = edge_time();
+      }
+    }
   }
   while (bracket.next <= t_target) {
     bracket.prev = bracket.next;

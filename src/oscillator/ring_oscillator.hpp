@@ -114,9 +114,9 @@ class RingOscillator {
   /// thermal sum is one Gaussian draw, the flicker sum comes from the
   /// filter bank's exact block advance. Statistically indistinguishable
   /// from k next_period() calls for every downstream observable that only
-  /// depends on edge times at the block boundaries. Falls back to
-  /// stepping when a modulation hook is installed (the hook must see
-  /// every period) or k is small.
+  /// depends on edge times at the block boundaries. Steps period by
+  /// period when k < 8. With a modulation hook installed it advances in
+  /// 64-period chunks, each scaled by the modulation at its midpoint.
   void advance_periods(std::uint64_t k);
 
   /// Absolute time of the most recently produced rising edge [s].
@@ -125,14 +125,18 @@ class RingOscillator {
 
   /// Bulk-edge API for batched sampling: advances this oscillator until
   /// its edge bracket contains `t_target` and returns that bracket.
-  /// `bracket` is the caller's current bracket (bracket.next must be the
-  /// most recent realized edge, i.e. edge_time()). Far from the target it
-  /// jumps in O(1) blocks via advance_periods sized to 90% of the nominal
-  /// gap — the 10% margin dwarfs the jitter spread by orders of
-  /// magnitude, so overshoot has negligible probability — and the final
-  /// approach steps period by period to realize the bracketing edges.
-  /// Already-bracketed targets (t_target < bracket.next) return the input
-  /// unchanged, so per-bit resampling costs nothing extra.
+  /// `bracket` is the caller's current bracket; bracket.next must be the
+  /// most recent realized edge, i.e. edge_time() (checked). Without a
+  /// modulation hook it makes one advance_periods jump that stops
+  /// 0.125 period + 10 sigma_N short of the target, sigma_N the
+  /// stationary stddev of the gap's accumulated jitter (thermal plus
+  /// FilterBankFlicker::sum_variance), so an overshoot has negligible
+  /// probability at any noise level; then it steps period by period
+  /// (1-2 steps) to realize the bracketing edges. With a hook installed
+  /// it jumps 90% of the remaining gap while at least 16 periods
+  /// remain, then steps. Already-bracketed targets
+  /// (t_target < bracket.next) return the input unchanged, so per-bit
+  /// resampling costs nothing extra.
   [[nodiscard]] EdgeBracket advance_to_block(double t_target,
                                              EdgeBracket bracket);
 

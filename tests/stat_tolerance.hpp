@@ -23,6 +23,17 @@ inline double variance_ratio_tol(std::size_t m, double z = 5.0) {
   return z * std::sqrt(2.0 / (static_cast<double>(m) - 1.0));
 }
 
+/// Band half-width for the difference of two means, each over m_a and
+/// m_b independent replicates (seeds, devices) with sample stddevs sd_a
+/// and sd_b: sd of the difference = sqrt(sd_a^2/m_a + sd_b^2/m_b). The
+/// replicate spread carries whatever serial correlation each replicate
+/// has, so no effective-sample-size guess is needed.
+inline double mean_difference_tol(double sd_a, std::size_t m_a, double sd_b,
+                                  std::size_t m_b, double z = 5.0) {
+  return z * std::sqrt(sd_a * sd_a / static_cast<double>(m_a) +
+                       sd_b * sd_b / static_cast<double>(m_b));
+}
+
 /// Band half-width for the empirical bias |p_hat - 1/2| of n fair bits:
 /// sd(p_hat) = 0.5/sqrt(n).
 inline double bias_tol(std::size_t n, double z = 5.0) {

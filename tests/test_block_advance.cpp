@@ -1,16 +1,24 @@
 // Statistical-equivalence tests for the exact block-advance fast paths:
 // FilterBankFlicker::advance_sum and RingOscillator::advance_periods must
-// be indistinguishable (in distribution) from stepping sample by sample.
+// be indistinguishable (in distribution) from stepping sample by sample,
+// and RingOscillator::advance_to_block's jitter-sized jump must never
+// land past its target.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "common/contracts.hpp"
+#include "model/fleet_campaign.hpp"
 #include "noise/filter_bank.hpp"
 #include "oscillator/oscillator_pair.hpp"
 #include "oscillator/ring_oscillator.hpp"
+#include "stat_tolerance.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/hypothesis.hpp"
+#include "trng/entropy.hpp"
+#include "trng/ero_trng.hpp"
 
 namespace {
 
@@ -159,6 +167,107 @@ TEST(BlockAdvance, ModulatedAdvanceTracksStepping) {
   for (int i = 0; i < 20000; ++i) stepper.next_period();
   jumper.advance_periods(20000);
   EXPECT_NEAR(jumper.edge_time() / stepper.edge_time(), 1.0, 1e-6);
+}
+
+TEST(BlockAdvance, SumVarianceMatchesEnsembleOfBlockSums) {
+  // sum_variance(k) is the stationary variance of a k-sample sum: over
+  // independent banks (one block sum each, so the samples are iid) the
+  // sample variance must match it within the chi-square band.
+  constexpr std::size_t kBanks = 400;
+  noise::FilterBankFlicker reference(flicker_config(1));
+  for (const std::size_t k : {std::size_t{1}, std::size_t{200}}) {
+    stats::RunningStats rs;
+    for (std::size_t b = 0; b < kBanks; ++b) {
+      noise::FilterBankFlicker fb(flicker_config(0x5a11'0000 + 1000 * k + b));
+      rs.add(fb.advance_sum(k));
+    }
+    EXPECT_NEAR(rs.variance() / reference.sum_variance(k), 1.0,
+                ptrng::testing::variance_ratio_tol(kBanks))
+        << "k = " << k;
+  }
+}
+
+TEST(AdvanceToBlock, NoJumpLandsPastItsTargetAtAnyUnattackedCorner) {
+  // Every unattacked ring-family corner of the campaign grid (all nodes,
+  // corner deratings, flicker x0/1/4), driven like an eRO: a sampling
+  // ring advanced by the divider sets each target. A jump that landed
+  // past its target would leave the pre-jump edge as bracket.prev, so
+  // the returned bracket would span many periods instead of one.
+  model::CampaignConfig campaign;
+  const std::uint32_t dividers[] = {8, 24, 64, 200, 640, 2000};
+  constexpr std::size_t kCallsPerCase = 4700;
+  std::uint64_t jumps = 0;
+  std::uint64_t overshoots = 0;
+  std::uint64_t bad_brackets = 0;
+  std::size_t configs = 0;
+  for (const auto& spec : model::expand_grid(campaign)) {
+    if (spec.generator != "ero" || spec.attack != "none") continue;
+    ++configs;
+    for (const std::uint32_t divider : dividers) {
+      const std::uint64_t seed = 0x0c05'0000 + 16 * configs + divider;
+      oscillator::RingOscillator sampled(
+          model::derated_ring(spec, seed, +1.5e-3));
+      oscillator::RingOscillator sampling(
+          model::derated_ring(spec, seed ^ 0xabcdef9876ULL, -1.5e-3));
+      sampled.next_period();
+      oscillator::EdgeBracket bracket{0.0, sampled.edge_time()};
+      const double period = sampled.nominal_period();
+      for (std::size_t i = 0; i < kCallsPerCase; ++i) {
+        sampling.advance_periods(divider);
+        const double t = sampling.edge_time();
+        const std::uint64_t before = sampled.cycle_count();
+        bracket = sampled.advance_to_block(t, bracket);
+        if (sampled.cycle_count() - before >= 2) ++jumps;
+        if (!(bracket.prev <= t && t < bracket.next) ||
+            bracket.next != sampled.edge_time())
+          ++bad_brackets;
+        if (bracket.next - bracket.prev > 1.5 * period) ++overshoots;
+      }
+    }
+  }
+  EXPECT_EQ(configs, 36u);
+  EXPECT_GE(jumps, 1'000'000u);
+  EXPECT_EQ(overshoots, 0u);
+  EXPECT_EQ(bad_brackets, 0u);
+}
+
+TEST(AdvanceToBlock, RejectsABracketThatIsNotTheLatestEdge) {
+  auto osc = oscillator::RingOscillator(oscillator::paper_single_config(3));
+  osc.next_period();
+  const oscillator::EdgeBracket stale{0.0, osc.edge_time()};
+  osc.next_period();
+  EXPECT_THROW((void)osc.advance_to_block(osc.edge_time() + 1e-6, stale),
+               ContractViolation);
+}
+
+TEST(AdvanceToBlock, EroStatisticsMatchTheSteppedApproach) {
+  // The jitter-sized jump realizes different streams than the former
+  // approach (jump 90% of the gap while >= 16 periods remain, then
+  // step), but the same process. Over 8 seeded paper eRO devices at
+  // K = 200, the mean bit probability and mean Markov entropy rate must
+  // sit inside the two-sample band around the former approach's values
+  // (per-seed mean and sample stddev over the same seeds and lengths).
+  constexpr std::size_t kSeeds = 8;
+  constexpr std::size_t kBits = 20000;
+  constexpr double kRefP1 = 0.499656250, kRefP1Sd = 0.002073030;
+  constexpr double kRefMarkov = 0.716007177, kRefMarkovSd = 0.015464636;
+  stats::RunningStats p1;
+  stats::RunningStats markov;
+  for (std::size_t s = 1; s <= kSeeds; ++s) {
+    auto trng = trng::paper_trng(200, 0x57a7'0000 + s);
+    std::vector<std::uint8_t> bits(kBits);
+    trng.generate_into(bits);
+    double ones = 0.0;
+    for (const auto b : bits) ones += b;
+    p1.add(ones / static_cast<double>(kBits));
+    markov.add(trng::markov_entropy_rate(bits));
+  }
+  EXPECT_NEAR(p1.mean(), kRefP1,
+              ptrng::testing::mean_difference_tol(kRefP1Sd, kSeeds, p1.stddev(),
+                                           kSeeds));
+  EXPECT_NEAR(markov.mean(), kRefMarkov,
+              ptrng::testing::mean_difference_tol(kRefMarkovSd, kSeeds,
+                                           markov.stddev(), kSeeds));
 }
 
 }  // namespace

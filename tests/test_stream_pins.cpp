@@ -18,7 +18,8 @@
 // declared §5 recalibration. The (ii) pins move with any change to how
 // the oscillator realizes edges (for example the block-advance margin
 // in RingOscillator::advance_to_block); such a change re-pins them in
-// the same commit and says so.
+// the same commit and says so. They were last re-pinned when
+// advance_to_block moved to one jitter-sized jump per call.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -172,9 +173,9 @@ constexpr std::uint64_t kBitSeeds[] = {1, 2, 0xdecafbad};
 
 TEST(StreamPins, PaperEroBits) {
   const char* const pins[3] = {
-      "a9ff4bc3fed0d89276e660efa6c3a295281e664a14b50fa87f00e0461e16740f",
-      "cabd3f1f00cb3de0bacb3cec0fa8898590951c32dddad33797dec70f590f4698",
-      "6926c3363adbb58891a85c020c5744774fc0a06d87a407919029b762704d74c2",
+      "42504a8da88289ab8eecb762e59e84aa9f39ff12bab5a7d265056f5ec68b7ae7",
+      "e811970ac030487c7313ff9e3d2bca38a4f6ab300cd02f35dee6ff6f8fb644bc",
+      "3d1eb9219d0f0a5d3cd32e47645a9245ae5d5c6d23123b051c1cb981297f00c7",
   };
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
     auto trng = trng::paper_trng(200, kBitSeeds[i]);
@@ -187,9 +188,9 @@ TEST(StreamPins, PaperEroBits) {
 
 TEST(StreamPins, PaperMultiRingBits) {
   const char* const pins[3] = {
-      "aca707855c752a863758a6b14d0898709a1c7c1fc0ec032ecb5a31578738cd8f",
-      "fdd59a499fbdab90078e9f142dc3fb1496b68884179d75995019370fd8b4295f",
-      "0e09e12fb289b81d0be08b476e0d140dd7d1dcbc88c7e328524ec45ddf46f29e",
+      "abdc1dcacb6568a1da8515893177f37e5cc755e9b87f79022fcf27727c3f2a85",
+      "26b88b2dc109afb096dbd526741cbeb0d3724657717f1473b41cafb3106e5269",
+      "7da1439872590f913b23ac31da1d63e5ba972f79c4ec3bdeaf234405b22fd8c5",
   };
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
     auto trng = trng::paper_multi_ring(4, 200, kBitSeeds[i]);
