@@ -132,7 +132,8 @@ class RingOscillator {
   /// stationary stddev of the gap's accumulated jitter (thermal plus
   /// FilterBankFlicker::sum_variance), so an overshoot has negligible
   /// probability at any noise level; then it steps period by period
-  /// (1-2 steps) to realize the bracketing edges. With a hook installed
+  /// (1-2 steps at campaign noise levels) to realize the bracketing
+  /// edges. With a hook installed
   /// it jumps 90% of the remaining gap while at least 16 periods
   /// remain, then steps. Already-bracketed targets
   /// (t_target < bracket.next) return the input unchanged, so per-bit
