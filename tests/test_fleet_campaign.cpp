@@ -75,8 +75,11 @@ TEST(Grid, TruncationTakesAPrefix) {
 
 TEST(Grid, CellArrayRunsUnattackedOnly) {
   CampaignConfig config;
-  for (const auto& spec : expand_grid(config))
-    if (spec.generator == "cell_array") EXPECT_EQ(spec.attack, "none");
+  for (const auto& spec : expand_grid(config)) {
+    if (spec.generator == "cell_array") {
+      EXPECT_EQ(spec.attack, "none");
+    }
+  }
 }
 
 TEST(Config, CanonicalStringSeparatesCampaigns) {

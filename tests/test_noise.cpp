@@ -67,6 +67,34 @@ TEST(FilterBankFlicker, AnalyticPsdTracksTarget) {
   }
 }
 
+TEST(FilterBankFlicker, CalibrationStaysFiniteUpTo1e11Hz) {
+  // The oscillator banks run at the oscillator's event rate: RingOscillator
+  // at f0 (~1e8 Hz), GateChainOscillator at its stage-transition rate
+  // (1e10 Hz at 100 ps stages). Across that range with a 100 Hz floor the
+  // calibrated bank must draw finite samples, give a finite positive
+  // sum_variance, and fit amplitude/f in band.
+  //
+  // Known open defect, deliberately outside this sweep: stage_psd's
+  // denominator 1 - 2 rho cos(omega) + rho^2 cancels to <= 0 in double
+  // precision once fs reaches ~2e11 Hz (rho -> 1, omega -> 0), so the
+  // calibrated gain is NaN and every sample is NaN. The technology-derived
+  // cell-array corners (stage rate ~5.7e11 Hz) sit in that regime.
+  for (double fs = 1e6; fs <= 1.5e11; fs *= 10.0) {
+    FilterBankFlicker src(flicker_band_config(1e-3, fs, 100.0, 0xca1));
+    for (int i = 0; i < 256; ++i)
+      ASSERT_TRUE(std::isfinite(src.next())) << "fs = " << fs;
+    for (const std::size_t k : {std::size_t{1}, std::size_t{64},
+                                std::size_t{4096}}) {
+      const double v = src.sum_variance(k);
+      EXPECT_TRUE(std::isfinite(v) && v > 0.0)
+          << "fs = " << fs << ", k = " << k;
+    }
+    for (double f = 10.0 * src.f_min(); f <= src.f_max() / 10.0; f *= 1.5)
+      EXPECT_NEAR(src.analytic_psd(f) / src.target_psd(f), 1.0, 0.1)
+          << "fs = " << fs << ", f = " << f;
+  }
+}
+
 TEST(FilterBankFlicker, MeasuredPsdMatchesAnalytic) {
   FilterBankFlicker::Config cfg;
   cfg.amplitude = 1e-2;

@@ -13,9 +13,13 @@
 //       docs/ARCHITECTURE.md §5.
 //  (ii) Raw bits of the paper eRO (divider 200) and the 4-ring
 //       multi-ring generator for three seeds.
+//  (iii) Raw bits of the 3-cell array for three seeds, in two configs:
+//       the campaign's technology-derived 90 nm thermal-only cells at
+//       the default divider 64, and bench_cell_array's jittery
+//       fast-clock config (divider 8).
 //
 // The (i) pins are bit-identity pins: no change may move them without a
-// declared §5 recalibration. The (ii) pins move with any change to how
+// declared §5 recalibration. The (ii) and (iii) pins move with any change to how
 // the oscillator realizes edges (for example the block-advance margin
 // in RingOscillator::advance_to_block); such a change re-pins them in
 // the same commit and says so. They were last re-pinned when
@@ -33,6 +37,8 @@
 #include "common/sha256.hpp"
 #include "common/simd.hpp"
 #include "noise/filter_bank.hpp"
+#include "transistor/technology.hpp"
+#include "trng/cell_array.hpp"
 #include "trng/ero_trng.hpp"
 #include "trng/multi_ring.hpp"
 
@@ -199,6 +205,47 @@ TEST(StreamPins, PaperMultiRingBits) {
     EXPECT_EQ(sha256_hex(std::span<const std::uint8_t>(bits)), pins[i])
         << "seed " << kBitSeeds[i];
   }
+}
+
+std::string cell_array_digest(trng::CellArrayConfig cfg, std::uint64_t seed) {
+  cfg.seed = seed;
+  trng::CellArrayTrng gen(cfg);
+  std::vector<std::uint8_t> bits(2048);
+  gen.generate_into(bits);
+  return sha256_hex(std::span<const std::uint8_t>(bits));
+}
+
+TEST(StreamPins, CampaignCellArrayBits) {
+  const char* const pins[3] = {
+      "7a47c056012fa9514702e287ea9d4fb18a79b7edb9e7c2625772cd4c2a8b8597",
+      "ed471185e7f235477d03cb48a98eb3bb5170c9ad045d1e497c2edd5404461d79",
+      "ffc5b970114b8952f08e78259c4f8f7802e7844e8e88d29c829a478e1acdece7",
+  };
+  const auto cfg = trng::cell_array_from_technology(
+      transistor::technology_node("90nm"), 3, 5, 1.0, false);
+  ASSERT_EQ(cfg.sample_divider, 64u);
+  ASSERT_EQ(cfg.flicker_amplitude, 0.0);
+  for (std::size_t i = 0; i < std::size(kBitSeeds); ++i)
+    EXPECT_EQ(cell_array_digest(cfg, kBitSeeds[i]), pins[i])
+        << "seed " << kBitSeeds[i];
+}
+
+TEST(StreamPins, BenchCellArrayBits) {
+  const char* const pins[3] = {
+      "1ec9d11b68d10417c540a09397038dfbd00b400c175cbd9aeba9a4b13ba5b586",
+      "657515f2eb4940340caf39d6bf9e30a15ef417aeab5f083ed9c6c62765738764",
+      "13198799524441b3e9921dd95a554984750bd49b409b5a7e883a25a2649f45b1",
+  };
+  trng::CellArrayConfig cfg;  // bench_cell_array's bench_config()
+  cfg.cells = 3;
+  cfg.base_stages = 5;
+  cfg.stage_delay = 100e-12;
+  cfg.sigma_stage = 30e-12;
+  cfg.sample_divider = 8;
+  cfg.decimation = 16;
+  for (std::size_t i = 0; i < std::size(kBitSeeds); ++i)
+    EXPECT_EQ(cell_array_digest(cfg, kBitSeeds[i]), pins[i])
+        << "seed " << kBitSeeds[i];
 }
 
 }  // namespace
