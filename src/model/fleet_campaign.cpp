@@ -62,8 +62,6 @@ double node_flicker_multiplier(const transistor::TechnologyNode& node) {
 std::unique_ptr<trng::BitSource> make_device(const CornerSpec& spec,
                                              std::uint64_t shard_seed,
                                              const CampaignConfig& config) {
-  const auto& node = transistor::technology_node(spec.node);
-  const auto& corner = transistor::standard_corner(spec.corner);
   const auto attack = attacks::attack_by_name(spec.attack);
 
   if (spec.generator == "ero") {
@@ -103,19 +101,8 @@ std::unique_ptr<trng::BitSource> make_device(const CornerSpec& spec,
   }
 
   PTRNG_EXPECTS(spec.generator == "cell_array");
-  auto cfg = trng::cell_array_from_technology(node, config.cells,
-                                              /*base_stages=*/5,
-                                              /*fanout=*/1.0,
-                                              spec.flicker_scale > 0.0);
-  // Corner derating in the delay domain: thermal delay VARIANCE scales
-  // with T (sigma with sqrt), flicker amplitude with sqrt of the scale
-  // (it multiplies a PSD ~ amplitude^2), and every nominal delay
-  // divides by the speed multiplier.
-  cfg.sigma_stage *= std::sqrt(corner.thermal_noise_scale());
-  cfg.flicker_amplitude *= std::sqrt(spec.flicker_scale);
-  cfg.stage_delay /= corner.speed_scale();
-  cfg.seed = shard_seed;
-  return std::make_unique<trng::CellArrayTrng>(cfg);
+  return std::make_unique<trng::CellArrayTrng>(
+      derated_cell_array(spec, shard_seed, config.cells));
 }
 
 // ---------------------------------------------------------------------
@@ -177,6 +164,24 @@ oscillator::RingOscillatorConfig derated_ring(const CornerSpec& spec,
   cfg.b_fl *= spec.flicker_scale * node_flicker_multiplier(node);
   cfg.b_th *= corner.thermal_noise_scale();
   cfg.f0 *= corner.speed_scale();
+  return cfg;
+}
+
+trng::CellArrayConfig derated_cell_array(const CornerSpec& spec,
+                                         std::uint64_t seed,
+                                         std::size_t cells) {
+  const auto& corner = transistor::standard_corner(spec.corner);
+  auto cfg = trng::cell_array_from_technology(
+      transistor::technology_node(spec.node), cells, /*base_stages=*/5,
+      /*fanout=*/1.0, spec.flicker_scale > 0.0);
+  // Corner derating in the delay domain: thermal delay VARIANCE scales
+  // with T (sigma with sqrt), flicker amplitude with sqrt of the scale
+  // (it multiplies a PSD ~ amplitude^2), and every nominal delay
+  // divides by the speed multiplier.
+  cfg.sigma_stage *= std::sqrt(corner.thermal_noise_scale());
+  cfg.flicker_amplitude *= std::sqrt(spec.flicker_scale);
+  cfg.stage_delay /= corner.speed_scale();
+  cfg.seed = seed;
   return cfg;
 }
 

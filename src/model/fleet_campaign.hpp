@@ -38,6 +38,7 @@
 
 #include "oscillator/ring_oscillator.hpp"
 #include "stats/descriptive.hpp"
+#include "trng/cell_array.hpp"
 
 namespace ptrng::model {
 
@@ -168,6 +169,16 @@ struct CampaignState {
 /// run_shard builds every ring it simulates through this.
 [[nodiscard]] oscillator::RingOscillatorConfig derated_ring(
     const CornerSpec& spec, std::uint64_t seed, double mismatch);
+
+/// The `cells`-cell array of a cell_array device at `spec`'s operating
+/// point: trng::cell_array_from_technology for the node (flicker banks
+/// on when spec.flicker_scale > 0), with the per-stage thermal sigma,
+/// flicker amplitude and stage delay derated by the operating corner
+/// and the flicker scale. run_shard builds every cell array through
+/// this.
+[[nodiscard]] trng::CellArrayConfig derated_cell_array(const CornerSpec& spec,
+                                                       std::uint64_t seed,
+                                                       std::size_t cells);
 
 /// Canonical, timestamp-free config string — the checkpoint key.
 [[nodiscard]] std::string canonical_config(const CampaignConfig& config);

@@ -15,8 +15,8 @@ GateChainOscillator::GateChainOscillator(const GateChainConfig& config)
   PTRNG_EXPECTS(config.sigma_stage >= 0.0);
   PTRNG_EXPECTS(config.flicker_amplitude >= 0.0);
 
-  f0_ = 1.0 / (2.0 * static_cast<double>(config.n_stages) *
-               config.stage_delay);
+  t_nom_ = 2.0 * static_cast<double>(config.n_stages) * config.stage_delay;
+  f0_ = 1.0 / t_nom_;
 
   if (config.flicker_amplitude > 0.0) {
     // Stage transitions occur at rate 2*N*f0 = 1/stage_delay.
@@ -49,6 +49,7 @@ PeriodSample GateChainOscillator::next_period() {
   s.period = total;
   s.thermal = thermal;
   s.flicker = flicker;
+  ++cycles_;
   return s;
 }
 
@@ -94,6 +95,38 @@ void GateChainOscillator::next_periods(std::span<PeriodSample> out) {
       out[done + i].flicker = fl_sum;
     }
   }
+  cycles_ += out.size();
+}
+
+double GateChainOscillator::advance_sum(std::uint64_t m) {
+  PTRNG_EXPECTS(m >= 1);
+  const double transitions =
+      2.0 * static_cast<double>(config_.n_stages) * static_cast<double>(m);
+  double total = transitions * config_.stage_delay +
+                 std::sqrt(transitions) * config_.sigma_stage * gauss_();
+  for (auto& bank : stage_flicker_) total += bank.advance_sum(2 * m);
+  cycles_ += m;
+  return total;
+}
+
+double GateChainOscillator::sum_stddev(std::uint64_t m) {
+  PTRNG_EXPECTS(m >= 1);
+  double var = static_cast<double>(m) * period_thermal_variance();
+  for (auto& bank : stage_flicker_) var += bank.sum_variance(2 * m);
+  return std::sqrt(var);
+}
+
+EdgeBracket GateChainOscillator::advance_to_block(double t_target,
+                                                  EdgeBracket bracket) {
+  const std::uint64_t skip =
+      jump_periods((t_target - bracket.next) / t_nom_, t_nom_,
+                   [this](std::uint64_t n) { return sum_stddev(n); });
+  if (skip > 0) bracket.next += advance_sum(skip);
+  while (bracket.next <= t_target) {
+    bracket.prev = bracket.next;
+    bracket.next += next_period().period;
+  }
+  return bracket;
 }
 
 double GateChainOscillator::period_thermal_variance() const {

@@ -56,6 +56,37 @@ class GateChainOscillator {
   /// from that stage's own bank in one FilterBankFlicker::fill block.
   void next_periods(std::span<PeriodSample> out);
 
+  /// Fast path: the summed duration of the next m >= 1 periods in
+  /// O(stages x flicker stages) time, independent of m. The thermal sum
+  /// of the 2*N*m stage delays is one Gaussian draw,
+  /// N(m*2N*t_stage, m*2N*sigma_stage^2); each stage's flicker adds its
+  /// bank's exact FilterBankFlicker::advance_sum(2m), since every stage
+  /// is crossed twice per period. Statistically indistinguishable from
+  /// summing m next_period() calls.
+  [[nodiscard]] double advance_sum(std::uint64_t m);
+
+  /// Stationary stddev of advance_sum(m) (Eq. 11's sigma_N at N = m):
+  /// the thermal variance m*2N*sigma_stage^2 plus every stage bank's
+  /// FilterBankFlicker::sum_variance(2m). Draws nothing.
+  [[nodiscard]] double sum_stddev(std::uint64_t m);
+
+  /// Realizes edges until `bracket` contains `t_target` and returns it:
+  /// prev <= t_target < next. `bracket.next` must be the latest realized
+  /// edge (the caller owns the edge times; the oscillator only produces
+  /// durations). Lands with one advance_sum jump that stops
+  /// kMarginPeriods + kMarginSigmas * sum_stddev short of the target
+  /// (oscillator::jump_periods, the rule RingOscillator::advance_to_block
+  /// shares), then steps with next_period(). A non-finite sigma or edge
+  /// never jumps. Already-bracketed targets return the input unchanged.
+  [[nodiscard]] EdgeBracket advance_to_block(double t_target,
+                                             EdgeBracket bracket);
+
+  /// Number of periods realized so far (stepped, batched or jumped).
+  [[nodiscard]] std::uint64_t cycle_count() const noexcept { return cycles_; }
+
+  /// Nominal period 2*N*t_stage [s].
+  [[nodiscard]] double nominal_period() const noexcept { return t_nom_; }
+
   /// Nominal frequency 1/(2*N*t_stage).
   [[nodiscard]] double f0() const noexcept { return f0_; }
 
@@ -72,7 +103,9 @@ class GateChainOscillator {
 
  private:
   GateChainConfig config_;
+  double t_nom_;
   double f0_;
+  std::uint64_t cycles_ = 0;
   GaussianSampler gauss_;
   /// One flicker process per stage (stage delays are physically driven by
   /// distinct devices).

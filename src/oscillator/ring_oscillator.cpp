@@ -7,23 +7,6 @@
 
 namespace ptrng::oscillator {
 
-namespace {
-
-// advance_to_block's landing margin for unmodulated oscillators: the
-// jump stops kMarginPeriods + kMarginSigmas * sigma_N short of the
-// target, sigma_N the stationary stddev of the jump's elapsed time
-// (thermal plus flicker, Eq. 11). The jump's error is exactly Gaussian,
-// so at 10 sigma an overshoot has probability ~8e-24 per jump at any
-// noise level — under 1e-14 over a full campaign's ~1e8 jumps. The
-// fixed eighth of a period keeps a margin far above rounding when
-// sigma_N is tiny. Each extra period of margin costs one more
-// next_period() step per call; at paper levels the margin is ~0.3
-// period, so a call steps 1.3 times on average.
-constexpr double kMarginPeriods = 0.125;
-constexpr double kMarginSigmas = 10.0;
-
-}  // namespace
-
 RingOscillator::RingOscillator(const RingOscillatorConfig& config)
     : config_(config),
       gauss_(config.seed, noise::resolved_sampler(config).gauss_method) {
@@ -175,20 +158,17 @@ EdgeBracket RingOscillator::advance_to_block(double t_target,
       bracket.next = edge_time();
     }
   } else {
-    // One jump sized from the oscillator's own accumulated jitter over
-    // the gap (sigma_N at N = ceil(gap), an upper bound for the jump
-    // itself), landing under 1 + margin periods short of the target.
-    const double gap = (t_target - bracket.next) / t_nom_;
-    if (gap > 1.0 + kMarginPeriods) {
-      const auto n = static_cast<std::uint64_t>(std::ceil(gap));
-      double var = static_cast<double>(n) * sigma_th_ * sigma_th_;
-      if (flicker_) var += flicker_->sum_variance(n);
-      const double skip =
-          gap - kMarginPeriods - kMarginSigmas * std::sqrt(var) / t_nom_;
-      if (skip >= 1.0) {
-        advance_periods(static_cast<std::uint64_t>(skip));
-        bracket.next = edge_time();
-      }
+    // One jump sized from the oscillator's own accumulated jitter
+    // (Eq. 11's sigma_N: thermal plus the flicker bank's sum variance).
+    const std::uint64_t skip = jump_periods(
+        (t_target - bracket.next) / t_nom_, t_nom_, [this](std::uint64_t n) {
+          double var = static_cast<double>(n) * sigma_th_ * sigma_th_;
+          if (flicker_) var += flicker_->sum_variance(n);
+          return std::sqrt(var);
+        });
+    if (skip > 0) {
+      advance_periods(skip);
+      bracket.next = edge_time();
     }
   }
   while (bracket.next <= t_target) {

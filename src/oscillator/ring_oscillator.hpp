@@ -16,6 +16,7 @@
 // validated against an oracle that hardware never provides.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -51,6 +52,38 @@ struct EdgeBracket {
     return (t - prev) / (next - prev);
   }
 };
+
+// advance_to_block's landing margin for unmodulated oscillators
+// (RingOscillator, GateChainOscillator): the jump stops
+// kMarginPeriods + kMarginSigmas * sigma_N short of the target, sigma_N
+// the stationary stddev of the jump's elapsed time (thermal plus
+// flicker, Eq. 11). The jump's error is exactly Gaussian, so at 10 sigma
+// an overshoot has probability ~8e-24 per jump at any noise level —
+// under 1e-14 over a full campaign's ~1e8 jumps. The fixed eighth of a
+// period keeps a margin far above rounding when sigma_N is tiny. Each
+// extra period of margin costs one more next_period() step per call; at
+// paper levels the margin is ~0.3 period, so a call steps 1.3 times on
+// average.
+inline constexpr double kMarginPeriods = 0.125;
+inline constexpr double kMarginSigmas = 10.0;
+
+/// Length of an unmodulated advance_to_block jump toward a target `gap`
+/// nominal periods past the latest edge: floor(gap - kMarginPeriods -
+/// kMarginSigmas * stddev(n) / period) with n = ceil(gap), where
+/// `stddev(n)` is the stddev [s] of the elapsed time of n periods (an
+/// upper bound for the jump's own) and `period` the nominal period [s].
+/// Returns 0 (step only) when the gap is within 1 + kMarginPeriods
+/// periods or when either the gap or the stddev is not finite: the
+/// comparisons are NaN-safe, so a degenerate oscillator steps.
+template <typename Stddev>
+[[nodiscard]] std::uint64_t jump_periods(double gap, double period,
+                                         Stddev&& stddev) {
+  if (!(gap > 1.0 + kMarginPeriods)) return 0;
+  const auto n = static_cast<std::uint64_t>(std::ceil(gap));
+  const double skip =
+      gap - kMarginPeriods - kMarginSigmas * stddev(n) / period;
+  return skip >= 1.0 ? static_cast<std::uint64_t>(skip) : 0;
+}
 
 /// Configuration of a simulated ring oscillator.
 /// (Suppression covers the struct definition only — implicit-ctor NSDMI

@@ -12,35 +12,15 @@
 
 namespace ptrng::trng {
 
-namespace {
-/// Periods realized per buffered block; bounds the per-cell staging
-/// memory while keeping GateChainOscillator::next_periods batched.
-constexpr std::size_t kPeriodBlock = 256;
-}  // namespace
-
 CellArrayTrng::Cell::Cell(const oscillator::GateChainConfig& cfg,
                           std::size_t sync_stages)
     : osc(cfg), latch(sync_stages, 0) {
-  buffer.resize(kPeriodBlock);
-  buf_pos = buffer.size();  // force a fill on the first period
-  period = next_period();
-}
-
-double CellArrayTrng::Cell::next_period() {
-  if (buf_pos == buffer.size()) {
-    osc.next_periods(buffer);
-    buf_pos = 0;
-  }
-  return buffer[buf_pos++].period;
+  edge.next = osc.next_period().period;
 }
 
 std::uint8_t CellArrayTrng::Cell::sample(double t, double duty) {
-  while (t_edge + period <= t) {
-    t_edge += period;
-    period = next_period();
-  }
-  const double frac = (t - t_edge) / period;
-  const std::uint8_t raw = frac < duty ? 1 : 0;
+  edge = osc.advance_to_block(t, edge);
+  const std::uint8_t raw = edge.fractional_phase(t) < duty ? 1 : 0;
   if (latch.empty()) return raw;
   const std::uint8_t out = latch[latch_pos];
   latch[latch_pos] = raw;

@@ -100,22 +100,20 @@ class CellArrayTrng final : public BitSource {
   }
 
  private:
-  /// One free-running cell plus its sampling state. Periods are
-  /// realized in buffered blocks through GateChainOscillator's batched
-  /// next_periods (bit-identical to stepping), and the latch shift
-  /// register carries across blocks, so a cell advanced sample-by-sample
-  /// and a cell advanced in one batch realize the same stream.
+  /// One free-running cell plus its sampling state. Each latch tick
+  /// lands the cell's edges around the tick with
+  /// GateChainOscillator::advance_to_block: one jitter-sized jump, then
+  /// about one next_period() step. The edges and the latch shift
+  /// register are all the state a tick carries, so a cell advanced
+  /// sample by sample and a cell advanced in one batch realize the same
+  /// stream.
   struct Cell {
     oscillator::GateChainOscillator osc;
-    double t_edge = 0.0;   ///< start time of the current period
-    double period = 0.0;   ///< current period length
-    std::vector<oscillator::PeriodSample> buffer;
-    std::size_t buf_pos = 0;
+    oscillator::EdgeBracket edge;  ///< edges around the latest tick
     std::vector<std::uint8_t> latch;  ///< shift register (may be empty)
     std::size_t latch_pos = 0;
 
     Cell(const oscillator::GateChainConfig& cfg, std::size_t sync_stages);
-    double next_period();
     std::uint8_t sample(double t, double duty);
   };
 

@@ -1,8 +1,9 @@
 // Statistical-equivalence tests for the exact block-advance fast paths:
-// FilterBankFlicker::advance_sum and RingOscillator::advance_periods must
-// be indistinguishable (in distribution) from stepping sample by sample,
-// and RingOscillator::advance_to_block's jitter-sized jump must never
-// land past its target.
+// FilterBankFlicker::advance_sum, RingOscillator::advance_periods and
+// GateChainOscillator::advance_sum must be indistinguishable (in
+// distribution) from stepping sample by sample, and both oscillators'
+// jitter-sized advance_to_block jumps must never land past their
+// targets.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,11 +13,14 @@
 #include "common/contracts.hpp"
 #include "model/fleet_campaign.hpp"
 #include "noise/filter_bank.hpp"
+#include "oscillator/gate_chain.hpp"
 #include "oscillator/oscillator_pair.hpp"
 #include "oscillator/ring_oscillator.hpp"
 #include "stat_tolerance.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/hypothesis.hpp"
+#include "transistor/technology.hpp"
+#include "trng/cell_array.hpp"
 #include "trng/entropy.hpp"
 #include "trng/ero_trng.hpp"
 
@@ -268,6 +272,154 @@ TEST(AdvanceToBlock, EroStatisticsMatchTheSteppedApproach) {
   EXPECT_NEAR(markov.mean(), kRefMarkov,
               ptrng::testing::mean_difference_tol(kRefMarkovSd, kSeeds,
                                            markov.stddev(), kSeeds));
+}
+
+TEST(AdvanceToBlock, JumpLengthIsNanSafe) {
+  auto sd = [](double v) { return [v](std::uint64_t) { return v; }; };
+  EXPECT_EQ(oscillator::jump_periods(10.0, 1.0, sd(0.0)), 9u);
+  EXPECT_EQ(oscillator::jump_periods(10.0, 1.0, sd(0.1)), 8u);
+  EXPECT_EQ(oscillator::jump_periods(1.1, 1.0, sd(0.0)), 0u);
+  EXPECT_EQ(oscillator::jump_periods(10.0, 1.0, sd(1.0)), 0u);
+  // A non-finite stddev or gap never jumps: the caller steps instead.
+  EXPECT_EQ(oscillator::jump_periods(10.0, 1.0, sd(std::nan(""))), 0u);
+  EXPECT_EQ(oscillator::jump_periods(10.0, 1.0, sd(INFINITY)), 0u);
+  EXPECT_EQ(oscillator::jump_periods(std::nan(""), 1.0, sd(0.0)), 0u);
+}
+
+/// Gate-chain cell `i` of a cell array, as CellArrayTrng builds it
+/// (the seed aside).
+oscillator::GateChainConfig cell_oscillator(const trng::CellArrayConfig& cfg,
+                                            std::size_t i,
+                                            std::uint64_t seed) {
+  oscillator::GateChainConfig cell;
+  cell.n_stages = cfg.base_stages + 2 * i;
+  cell.stage_delay = cfg.stage_delay;
+  cell.sigma_stage = cfg.sigma_stage;
+  cell.flicker_amplitude = cfg.flicker_amplitude;
+  cell.flicker_floor_hz = cfg.flicker_floor_hz;
+  cell.seed = seed;
+  return cell;
+}
+
+TEST(GateChainBlock, AdvanceSumMatchesSteppedSums) {
+  // Thermal-only and flicker-on cells at a 100 ps stage delay (a stage
+  // rate of 1e10 Hz, where the flicker bank calibrates finitely). Over
+  // independent oscillators (one m-period sum each, so the sums are
+  // iid) the jumped and stepped ensembles must agree in mean and
+  // variance, and both variances must match sum_stddev(m)^2.
+  constexpr std::size_t kOscillators = 400;
+  for (const double amplitude : {0.0, 4e-25}) {
+    for (const std::uint64_t m : {std::uint64_t{1}, std::uint64_t{200}}) {
+      oscillator::GateChainConfig cfg;
+      cfg.stage_delay = 100e-12;
+      cfg.flicker_amplitude = amplitude;
+      stats::RunningStats stepped, jumped;
+      double sd = 0.0;
+      for (std::size_t o = 0; o < kOscillators; ++o) {
+        cfg.seed = 0x9a7e'0000 + 2 * o + 1000 * m;
+        oscillator::GateChainOscillator step_osc(cfg);
+        double sum = 0.0;
+        for (std::uint64_t i = 0; i < m; ++i) sum += step_osc.next_period().period;
+        stepped.add(sum);
+        cfg.seed += 1;
+        oscillator::GateChainOscillator jump_osc(cfg);
+        sd = jump_osc.sum_stddev(m);
+        jumped.add(jump_osc.advance_sum(m));
+        EXPECT_EQ(jump_osc.cycle_count(), m);
+      }
+      const std::string where = "amplitude " + std::to_string(amplitude) +
+                                ", m = " + std::to_string(m);
+      EXPECT_NEAR(jumped.mean(), stepped.mean(),
+                  ptrng::testing::mean_difference_tol(
+                      stepped.stddev(), kOscillators, jumped.stddev(),
+                      kOscillators))
+          << where;
+      EXPECT_NEAR(jumped.mean() / (double(m) * 10.0 * cfg.stage_delay), 1.0,
+                  5.0 * sd / std::sqrt(double(kOscillators)) /
+                      (double(m) * 10.0 * cfg.stage_delay))
+          << where;
+      const double tol = ptrng::testing::variance_ratio_tol(kOscillators);
+      EXPECT_NEAR(stepped.variance() / (sd * sd), 1.0, tol) << where;
+      EXPECT_NEAR(jumped.variance() / (sd * sd), 1.0, tol) << where;
+    }
+  }
+}
+
+TEST(GateChainBlock, NoJumpLandsPastItsTickAtAnyThermalOnlyCellCorner) {
+  // Every thermal-only cell_array corner of the campaign grid (all
+  // nodes and operating corners), each of its three cells driven like
+  // CellArrayTrng drives it: one advance_to_block per latch tick
+  // t_k = k * T_s. A jump past the tick would leave the pre-jump edge
+  // as bracket.prev, so the bracket would span many periods.
+  model::CampaignConfig campaign;
+  const std::uint32_t dividers[] = {8, 24, 64, 200, 640, 2000};
+  constexpr std::size_t kTicksPerCase = 5000;
+  std::uint64_t jumps = 0;
+  std::uint64_t overshoots = 0;
+  std::uint64_t bad_brackets = 0;
+  std::size_t configs = 0;
+  for (const auto& spec : model::expand_grid(campaign)) {
+    if (spec.generator != "cell_array" || spec.flicker_scale != 0.0) continue;
+    ++configs;
+    for (const std::uint32_t divider : dividers) {
+      auto cfg = model::derated_cell_array(spec, 0, campaign.cells);
+      cfg.sample_divider = divider;
+      const trng::CellArrayTrng device(cfg);
+      const double ts = device.sample_period();
+      for (std::size_t c = 0; c < cfg.cells; ++c) {
+        oscillator::GateChainOscillator osc(cell_oscillator(
+            cfg, c, 0x0ce1'0000 + 64 * configs + 8 * c + divider));
+        const double period = osc.nominal_period();
+        oscillator::EdgeBracket edge{0.0, osc.next_period().period};
+        for (std::size_t k = 1; k <= kTicksPerCase; ++k) {
+          const double t = static_cast<double>(k) * ts;
+          const std::uint64_t before = osc.cycle_count();
+          edge = osc.advance_to_block(t, edge);
+          if (osc.cycle_count() - before >= 2) ++jumps;
+          if (!(edge.prev <= t && t < edge.next)) ++bad_brackets;
+          if (edge.next - edge.prev > 1.5 * period) ++overshoots;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(configs, 12u);
+  EXPECT_GE(jumps, 1'000'000u);
+  EXPECT_EQ(overshoots, 0u);
+  EXPECT_EQ(bad_brackets, 0u);
+}
+
+TEST(GateChainBlock, CellArrayStatisticsMatchTheSteppedApproach) {
+  // The jump realizes different streams than stepping every period,
+  // but the same process. Over 8 seeded technology-derived 90 nm
+  // thermal-only cell arrays at the campaign's divider 64, the mean bit
+  // probability and mean Markov entropy rate must sit inside the
+  // two-sample band around the stepped sampler's values (per-seed mean
+  // and sample stddev over the same seeds and lengths).
+  constexpr std::size_t kSeeds = 8;
+  constexpr std::size_t kBits = 20000;
+  constexpr double kRefP1 = 0.500250000, kRefP1Sd = 0.001742740;
+  constexpr double kRefMarkov = 0.991423471, kRefMarkovSd = 0.000379465;
+  auto cfg = trng::cell_array_from_technology(
+      transistor::technology_node("90nm"), 3, 5, 1.0, false);
+  ASSERT_EQ(cfg.sample_divider, 64u);
+  stats::RunningStats p1;
+  stats::RunningStats markov;
+  for (std::size_t s = 1; s <= kSeeds; ++s) {
+    cfg.seed = 0xce11'0000 + s;
+    trng::CellArrayTrng gen(cfg);
+    std::vector<std::uint8_t> bits(kBits);
+    gen.generate_into(bits);
+    double ones = 0.0;
+    for (const auto b : bits) ones += b;
+    p1.add(ones / static_cast<double>(kBits));
+    markov.add(trng::markov_entropy_rate(bits));
+  }
+  EXPECT_NEAR(p1.mean(), kRefP1,
+              ptrng::testing::mean_difference_tol(kRefP1Sd, kSeeds,
+                                                  p1.stddev(), kSeeds));
+  EXPECT_NEAR(markov.mean(), kRefMarkov,
+              ptrng::testing::mean_difference_tol(kRefMarkovSd, kSeeds,
+                                                  markov.stddev(), kSeeds));
 }
 
 }  // namespace

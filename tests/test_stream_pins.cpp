@@ -19,11 +19,12 @@
 //       fast-clock config (divider 8).
 //
 // The (i) pins are bit-identity pins: no change may move them without a
-// declared §5 recalibration. The (ii) and (iii) pins move with any change to how
-// the oscillator realizes edges (for example the block-advance margin
-// in RingOscillator::advance_to_block); such a change re-pins them in
-// the same commit and says so. They were last re-pinned when
-// advance_to_block moved to one jitter-sized jump per call.
+// declared §5 recalibration. The (ii) and (iii) pins move with any
+// change to how the oscillators realize edges (for example the
+// block-advance margin shared by the oscillators' advance_to_block);
+// such a change re-pins them in the same commit and says so. The (ii) pins were last re-pinned
+// when RingOscillator::advance_to_block moved to one jitter-sized jump
+// per call, the (iii) pins when the cell array's gate-chain cells did.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -217,9 +218,9 @@ std::string cell_array_digest(trng::CellArrayConfig cfg, std::uint64_t seed) {
 
 TEST(StreamPins, CampaignCellArrayBits) {
   const char* const pins[3] = {
-      "7a47c056012fa9514702e287ea9d4fb18a79b7edb9e7c2625772cd4c2a8b8597",
-      "ed471185e7f235477d03cb48a98eb3bb5170c9ad045d1e497c2edd5404461d79",
-      "ffc5b970114b8952f08e78259c4f8f7802e7844e8e88d29c829a478e1acdece7",
+      "9b7c04cc7f9039af8f67bf44db54fd4d2a13edb0f8c0f72e65e5b2f9b29a9c82",
+      "6261ea3135435aa56376f4bdb5412068671586dcb5555715c5aac601990d3be9",
+      "518feb89d41b121893777774ba369fd064d910129df27ca484a4523ccaf080db",
   };
   const auto cfg = trng::cell_array_from_technology(
       transistor::technology_node("90nm"), 3, 5, 1.0, false);
@@ -232,9 +233,9 @@ TEST(StreamPins, CampaignCellArrayBits) {
 
 TEST(StreamPins, BenchCellArrayBits) {
   const char* const pins[3] = {
-      "1ec9d11b68d10417c540a09397038dfbd00b400c175cbd9aeba9a4b13ba5b586",
-      "657515f2eb4940340caf39d6bf9e30a15ef417aeab5f083ed9c6c62765738764",
-      "13198799524441b3e9921dd95a554984750bd49b409b5a7e883a25a2649f45b1",
+      "f6abc6f541640cdf12a0927ebbe7deae1d6bdd01bfb17d07dbb348aaa1023fe9",
+      "13886bbe387fac8fc565666dd09dd0525be33783d06085a8d4cb7e8b737f3556",
+      "348edb362f7f7ebb66eda8a83f5be4b4201377dd2acc264338e52cc731feca9e",
   };
   trng::CellArrayConfig cfg;  // bench_cell_array's bench_config()
   cfg.cells = 3;
