@@ -4,7 +4,9 @@
 // parity), plus the cost of scaling the cell count. The preamble
 // verifies the bit-identity guarantees (1 vs 8 threads, batch vs
 // per-bit) before any timing is trusted — matching the
-// bench_parallel_sweep conventions.
+// bench_parallel_sweep conventions. One more row times the campaign's
+// technology-derived 90 nm thermal-only corner at its divider 64, where
+// each latch tick is one jitter-sized jump per cell.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -13,6 +15,7 @@
 #include <vector>
 
 #include "common/parallel.hpp"
+#include "transistor/technology.hpp"
 #include "trng/cell_array.hpp"
 
 namespace {
@@ -36,22 +39,31 @@ CellArrayConfig bench_config(std::size_t cells = 3) {
   return cfg;
 }
 
-bool verify_determinism() {
+/// The campaign's cell_array/90nm/tt/f0 corner: technology-derived
+/// thermal-only cells at the default divider 64.
+CellArrayConfig campaign_corner_config() {
+  CellArrayConfig cfg = cell_array_from_technology(
+      transistor::technology_node("90nm"), 3, 5, 1.0, false);
+  cfg.seed = kSeed;
+  return cfg;
+}
+
+bool verify_determinism(const CellArrayConfig& cfg) {
   std::vector<std::uint8_t> one(32'000), eight(one.size());
   ThreadPool::global().resize(1);
   {
-    CellArrayTrng gen(bench_config());
+    CellArrayTrng gen(cfg);
     gen.generate_into(one);
   }
   ThreadPool::global().resize(8);
   {
-    CellArrayTrng gen(bench_config());
+    CellArrayTrng gen(cfg);
     gen.generate_into(eight);
   }
   ThreadPool::global().resize(0);
   if (one != eight) return false;
   // Batch path == per-bit path on the same stream.
-  CellArrayTrng batched(bench_config()), stepped(bench_config());
+  CellArrayTrng batched(cfg), stepped(cfg);
   std::vector<std::uint8_t> block(8'000);
   batched.generate_into(block);
   for (const auto b : block)
@@ -108,14 +120,30 @@ BENCHMARK(bm_cell_array_cell_count)
     ->Arg(1)->Arg(3)->Arg(6)
     ->Unit(benchmark::kMillisecond);
 
+void bm_cell_array_campaign_corner(benchmark::State& state) {
+  // One campaign shard's worth of raw bits per iteration.
+  CellArrayTrng gen(campaign_corner_config());
+  std::vector<std::uint8_t> block(2000);
+  for (auto _ : state) {
+    gen.generate_into(block);
+    benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(bm_cell_array_campaign_corner)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::cout << "=== CELLARRAY: neoTRNG-style cell-array throughput ===\n"
             << "cells 3, base stages 5, divider 8, decimation 16, hardware "
                "concurrency "
-            << configured_thread_count() << "\n";
-  const bool deterministic = verify_determinism();
+            << configured_thread_count() << "\n"
+            << "campaign corner row: 90nm thermal-only cells, divider 64\n";
+  const bool deterministic = verify_determinism(bench_config()) &&
+                             verify_determinism(campaign_corner_config());
   std::cout << "determinism (1 vs 8 threads, batch vs next_bit): "
             << (deterministic ? "OK" : "FAILED") << "\n\n";
   if (!deterministic) return 1;  // fail bench-smoke, timings untrustworthy

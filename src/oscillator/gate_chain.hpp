@@ -84,9 +84,6 @@ class GateChainOscillator {
   /// Number of periods realized so far (stepped, batched or jumped).
   [[nodiscard]] std::uint64_t cycle_count() const noexcept { return cycles_; }
 
-  /// Nominal period 2*N*t_stage [s].
-  [[nodiscard]] double nominal_period() const noexcept { return t_nom_; }
-
   /// Nominal frequency 1/(2*N*t_stage).
   [[nodiscard]] double f0() const noexcept { return f0_; }
 
@@ -103,7 +100,7 @@ class GateChainOscillator {
 
  private:
   GateChainConfig config_;
-  double t_nom_;
+  double t_nom_;  ///< nominal period 2*N*t_stage [s]
   double f0_;
   std::uint64_t cycles_ = 0;
   GaussianSampler gauss_;

@@ -369,7 +369,7 @@ TEST(GateChainBlock, NoJumpLandsPastItsTickAtAnyThermalOnlyCellCorner) {
       for (std::size_t c = 0; c < cfg.cells; ++c) {
         oscillator::GateChainOscillator osc(cell_oscillator(
             cfg, c, 0x0ce1'0000 + 64 * configs + 8 * c + divider));
-        const double period = osc.nominal_period();
+        const double period = 1.0 / osc.f0();
         oscillator::EdgeBracket edge{0.0, osc.next_period().period};
         for (std::size_t k = 1; k <= kTicksPerCase; ++k) {
           const double t = static_cast<double>(k) * ts;
