@@ -407,6 +407,12 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
   return total;
 }
 
+double FilterBankFlicker::last_sample() const noexcept {
+  double sum = 0.0;
+  for (const double x : state_) sum += x;
+  return sum;
+}
+
 double FilterBankFlicker::analytic_psd(double f) const {
   PTRNG_EXPECTS(f > 0.0 && f <= fs_ / 2.0);
   double sum = 0.0;

@@ -87,6 +87,12 @@ class FilterBankFlicker final : public NoiseSource {
   /// memoized with advance_sum's terms; draws nothing.
   [[nodiscard]] double sum_variance(std::size_t k);
 
+  /// The most recent sample: the sum of the stage states, in next()'s
+  /// accumulation order. After next() it is the value next() returned;
+  /// after advance_sum(k) it is the last of the k samples summed. Draws
+  /// nothing.
+  [[nodiscard]] double last_sample() const noexcept;
+
   /// Exact two-sided PSD of this generator (sum of discrete Lorentzians) at
   /// frequency f — what Welch estimates should converge to.
   [[nodiscard]] double analytic_psd(double f) const;

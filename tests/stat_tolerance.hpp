@@ -58,6 +58,15 @@ inline double acf_tol(std::size_t n, double z = 5.0) {
   return z / std::sqrt(static_cast<double>(n));
 }
 
+/// Band half-width for the sample COVARIANCE of n iid jointly Gaussian
+/// pairs with variances var_a, var_b and covariance cov around cov:
+/// Var(ab) = var_a var_b + cov^2 per pair (Isserlis), so
+/// sd = sqrt((var_a var_b + cov^2) / n).
+inline double covariance_tol(std::size_t n, double var_a, double var_b,
+                             double cov, double z = 5.0) {
+  return z * std::sqrt((var_a * var_b + cov * cov) / static_cast<double>(n));
+}
+
 /// Regression-CI helper: RELATIVE band half-width for a fitted
 /// coefficient given its 1-sigma standard error (stats::FitResult /
 /// JitterCalibration expose these): z * inflation * se / |coef|.

@@ -6,8 +6,11 @@
 // targets.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -191,6 +194,80 @@ TEST(BlockAdvance, SumVarianceMatchesEnsembleOfBlockSums) {
   }
 }
 
+TEST(BlockAdvance, FlickerAdvanceSumJointLawMatchesStepping) {
+  // advance_sum(k) draws the block sum S jointly with the end state, so
+  // the block's last sample (last_sample()) and the sample after it
+  // must follow the stepped joint law too, not just S's marginal. Over
+  // independent paper-shaped banks (21 stages; one block each, so the
+  // triples are iid) both the jumped and the stepped ensemble must
+  // match the stationary moments, which follow from V = sum_variance
+  // by stationarity (S_k = S_{k-1} + x_k, S_{k+1} = S_k + x_{k+1}):
+  //   Var(S) = V(k),  Var(last) = V(1),
+  //   Cov(S, last) = (V(k) - V(k-1) + V(1)) / 2,
+  //   Cov(S, following) = (V(k+1) - V(k) - V(1)) / 2.
+  // S and last are over 0.6 correlated at these k, so Var(S) alone
+  // hides the part of S that last does not explain; the residual
+  // S - Cov(S, last) / V(1) * last carries it, with variance
+  // V(k) - Cov(S, last)^2 / V(1).
+  constexpr std::size_t kBanks = 2000;
+  auto bank_config = [](std::uint64_t seed) {
+    return noise::flicker_band_config(1e-3, 1.0, 1e-7, seed);
+  };
+  noise::FilterBankFlicker reference(bank_config(1));
+  ASSERT_EQ(reference.stage_count(), 21u);
+  using ptrng::testing::covariance_tol;
+  using ptrng::testing::variance_ratio_tol;
+  for (const std::size_t k : {std::size_t{2}, std::size_t{64},
+                              std::size_t{200}, std::size_t{10000}}) {
+    const double v1 = reference.sum_variance(1);
+    const double vk = reference.sum_variance(k);
+    const double cov_last = 0.5 * (vk - reference.sum_variance(k - 1) + v1);
+    const double cov_next = 0.5 * (reference.sum_variance(k + 1) - vk - v1);
+    const double beta = cov_last / v1;
+    const double v_resid = vk - beta * cov_last;
+    for (const bool jump : {false, true}) {
+      std::vector<double> sums, lasts, nexts;
+      std::size_t last_mismatches = 0;
+      for (std::size_t b = 0; b < kBanks; ++b) {
+        noise::FilterBankFlicker fb(
+            bank_config(0x1a57'0000 + 2 * (kBanks * k + b) + (jump ? 1 : 0)));
+        double sum = 0.0;
+        if (jump) {
+          sum = fb.advance_sum(k);
+        } else {
+          double x = 0.0;
+          for (std::size_t i = 0; i < k; ++i) sum += (x = fb.next());
+          if (fb.last_sample() != x) ++last_mismatches;
+        }
+        sums.push_back(sum);
+        lasts.push_back(fb.last_sample());
+        nexts.push_back(fb.next());
+      }
+      const std::string where =
+          std::string(jump ? "jumped" : "stepped") + ", k = " +
+          std::to_string(k);
+      EXPECT_EQ(last_mismatches, 0u) << where;
+      EXPECT_NEAR(stats::variance(sums) / vk, 1.0, variance_ratio_tol(kBanks))
+          << where;
+      EXPECT_NEAR(stats::variance(lasts) / v1, 1.0,
+                  variance_ratio_tol(kBanks))
+          << where;
+      EXPECT_NEAR(stats::covariance(sums, lasts), cov_last,
+                  covariance_tol(kBanks, vk, v1, cov_last))
+          << where;
+      EXPECT_NEAR(stats::covariance(sums, nexts), cov_next,
+                  covariance_tol(kBanks, vk, v1, cov_next))
+          << where;
+      std::vector<double> resid(kBanks);
+      for (std::size_t b = 0; b < kBanks; ++b)
+        resid[b] = sums[b] - beta * lasts[b];
+      EXPECT_NEAR(stats::variance(resid) / v_resid, 1.0,
+                  variance_ratio_tol(kBanks))
+          << where;
+    }
+  }
+}
+
 TEST(AdvanceToBlock, NoJumpLandsPastItsTargetAtAnyUnattackedCorner) {
   // Every unattacked ring-family corner of the campaign grid (all nodes,
   // corner deratings, flicker x0/1/4), driven like an eRO: a sampling
@@ -272,6 +349,88 @@ TEST(AdvanceToBlock, EroStatisticsMatchTheSteppedApproach) {
   EXPECT_NEAR(markov.mean(), kRefMarkov,
               ptrng::testing::mean_difference_tol(kRefMarkovSd, kSeeds,
                                            markov.stddev(), kSeeds));
+}
+
+/// A flicker bank with the moments of the one `cfg`'s RingOscillator
+/// builds for itself (same band and stages; the moments do not depend
+/// on the seed).
+noise::FilterBankFlicker ring_bank(const oscillator::RingOscillatorConfig& cfg) {
+  const double f0 = cfg.f0;
+  return noise::FilterBankFlicker(noise::flicker_band_config(
+      cfg.b_fl / (f0 * f0 * f0 * f0), f0, f0 * cfg.flicker_floor_ratio, 1,
+      cfg.flicker_stages_per_decade));
+}
+
+/// One advance_to_block bracket per fresh oscillator (so the samples
+/// are iid), aimed 200-201 nominal periods past its first edge at
+/// phases spread over the period: the revealed period next - prev and
+/// the stepped period after it must follow the law of two consecutive
+/// stepped periods however the jump realizes them — mean T, variance
+/// sigma_th^2 + V(1) and lag-1 covariance (V(2) - 2 V(1)) / 2, with V
+/// the ring bank's sum_variance (thermal draws are independent). The
+/// period covering a fixed instant is length-biased, but only by
+/// Var/T in the mean (~1e-6 T here), far inside the bands.
+void expect_revealed_period_law(const oscillator::RingOscillatorConfig& base,
+                                std::uint64_t seed0) {
+  constexpr std::size_t kDevices = 2000;
+  auto bank = ring_bank(base);
+  std::vector<double> revealed, following;
+  double period = 0.0;
+  double var = 0.0;
+  for (std::size_t i = 0; i < kDevices; ++i) {
+    auto cfg = base;
+    cfg.seed = seed0 + i;
+    oscillator::RingOscillator osc(cfg);
+    period = osc.nominal_period();
+    var = osc.sigma_thermal() * osc.sigma_thermal() + bank.sum_variance(1);
+    osc.next_period();
+    oscillator::EdgeBracket bracket{0.0, osc.edge_time()};
+    const double phase = std::fmod(0.6180339887 * double(i), 1.0);
+    const double t = osc.edge_time() + (200.0 + phase) * period;
+    bracket = osc.advance_to_block(t, bracket);
+    revealed.push_back(bracket.next - bracket.prev);
+    following.push_back(osc.next_period().period);
+  }
+  const double cov1 = 0.5 * (bank.sum_variance(2) - 2.0 * bank.sum_variance(1));
+  EXPECT_NEAR(stats::mean(revealed) / period, 1.0,
+              5.0 * std::sqrt(var / double(kDevices)) / period);
+  EXPECT_NEAR(stats::variance(revealed) / var, 1.0,
+              ptrng::testing::variance_ratio_tol(kDevices));
+  EXPECT_NEAR(stats::covariance(revealed, following), cov1,
+              ptrng::testing::covariance_tol(kDevices, var, var, cov1));
+}
+
+TEST(AdvanceToBlock, RevealedPeriodFollowsTheSteppedPeriodLaw) {
+  {
+    SCOPED_TRACE("paper eRO ring");
+    expect_revealed_period_law(oscillator::paper_single_config(), 0x7e51'0000);
+  }
+  {
+    // The unattacked eRO corner of the campaign grid with the largest
+    // flicker share of the per-period variance.
+    std::optional<oscillator::RingOscillatorConfig> corner;
+    std::string name;
+    for (const auto& spec : model::expand_grid(model::CampaignConfig{})) {
+      if (spec.generator != "ero" || spec.attack != "none") continue;
+      const auto cfg = model::derated_ring(spec, 0, +1.5e-3);
+      if (!corner || cfg.b_fl / cfg.b_th > corner->b_fl / corner->b_th) {
+        corner = cfg;
+        name = spec.name();
+      }
+    }
+    ASSERT_TRUE(corner.has_value());
+    SCOPED_TRACE(name);
+    expect_revealed_period_law(*corner, 0x7e52'0000);
+  }
+  {
+    // Thermal jitter is over 99% of a period's variance at campaign
+    // levels, which hides the flicker part of the law; a flicker-only
+    // paper ring puts all of it on the bank (lag-1 correlation ~0.9).
+    SCOPED_TRACE("flicker-only paper ring");
+    auto cfg = oscillator::paper_single_config();
+    cfg.b_th = 0.0;
+    expect_revealed_period_law(cfg, 0x7e53'0000);
+  }
 }
 
 TEST(AdvanceToBlock, JumpLengthIsNanSafe) {
