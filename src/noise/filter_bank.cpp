@@ -177,40 +177,31 @@ FilterBankFlicker::FilterBankFlicker(const Config& config)
     gauss_.emplace_back(chunk_seed(config.seed, k), gauss_method);
     state_[k] = gauss_[k](0.0, sigma_[k]);
   }
+  resid_gauss_ = GaussianSampler(chunk_seed(config.seed, rho_.size()),
+                                 gauss_method);
 }
 
-std::size_t FilterBankFlicker::take_ahead(std::size_t n) {
-  if (ahead_end_ - ahead_pos_ < n) {
-    // Refill: carry the unread draws (at most n - 1) to the front, then
-    // draw the rest of the block — packs through fill_lanes, the tail
+std::size_t FilterBankFlicker::take_ahead() {
+  if (ahead_pos_ == kAhead) {
+    // Refill the drained block — packs through fill_lanes, the tail
     // stage by stage. Each stage's stream is consumed strictly in order,
     // so the buffered values are exactly what per-call draws would be.
     const std::size_t n_stages = rho_.size();
     ahead_.resize(n_stages * kAhead);
-    const std::size_t keep = ahead_end_ - ahead_pos_;
     for (std::size_t p = 0; p < packed_stages_; p += simd::kLanes) {
-      double* const z = ahead_.data() + p * kAhead;
-      std::copy(z + simd::kLanes * ahead_pos_, z + simd::kLanes * ahead_end_,
-                z);
       GaussianSampler::fill_lanes(
           {&gauss_[p], &gauss_[p + 1], &gauss_[p + 2], &gauss_[p + 3]},
-          {z + simd::kLanes * keep, simd::kLanes * (kAhead - keep)});
+          {ahead_.data() + p * kAhead, simd::kLanes * kAhead});
     }
-    for (std::size_t s = packed_stages_; s < n_stages; ++s) {
-      double* const z = ahead_.data() + s * kAhead;
-      std::copy(z + ahead_pos_, z + ahead_end_, z);
-      gauss_[s].fill({z + keep, kAhead - keep});
-    }
+    for (std::size_t s = packed_stages_; s < n_stages; ++s)
+      gauss_[s].fill({ahead_.data() + s * kAhead, kAhead});
     ahead_pos_ = 0;
-    ahead_end_ = kAhead;
   }
-  const std::size_t i = ahead_pos_;
-  ahead_pos_ += n;
-  return i;
+  return ahead_pos_++;
 }
 
 double FilterBankFlicker::next() {
-  const std::size_t i = take_ahead(1);
+  const std::size_t i = take_ahead();
   double sum = 0.0;
   for (std::size_t k = 0; k < rho_.size(); ++k) {
     state_[k] = rho_[k] * state_[k] + drive_[k] * ahead_[ahead_index(k, i)];
@@ -222,8 +213,7 @@ double FilterBankFlicker::next() {
 void FilterBankFlicker::fill(std::span<double> out) {
   // Drain the draw-ahead block first: its draws precede anything the
   // block path below takes from the streams.
-  const std::size_t drained =
-      std::min(out.size(), ahead_end_ - ahead_pos_);
+  const std::size_t drained = std::min(out.size(), kAhead - ahead_pos_);
   for (std::size_t i = 0; i < drained; ++i) out[i] = next();
   out = out.subspan(drained);
   const std::size_t n_stages = rho_.size();
@@ -339,6 +329,7 @@ const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(
   entry.k = k;
   entry.terms.resize(rho_.size());
   entry.sum_variance = 0.0;
+  double resid_var = 0.0;
   const double kd = static_cast<double>(k);
   for (std::size_t s = 0; s < rho_.size(); ++s) {
     const double rho = rho_[s];
@@ -358,19 +349,14 @@ const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(
     t.q = q;
     t.mean_coef = rho * geo;
     t.sd_x = std::sqrt(std::max(0.0, var_x));
-    if (t.sd_x > 0.0) {
-      t.slope = cov / var_x;
-      t.resid_sd = std::sqrt(std::max(0.0, var_s - cov * cov / var_x));
-      t.sd_s = 0.0;
-    } else {
-      t.slope = 0.0;
-      t.resid_sd = 0.0;
-      t.sd_s = std::sqrt(std::max(0.0, var_s));
-    }
+    t.slope = t.sd_x > 0.0 ? cov / var_x : 0.0;
+    // Var(S | x_0, end-state shock): what the regression leaves over.
+    resid_var += std::max(0.0, var_s - t.slope * cov);
     // Var(S) = Var(E[S|x_0]) + E[Var(S|x_0)], x_0 ~ N(0, sigma^2).
     entry.sum_variance += t.mean_coef * t.mean_coef * sigma_[s] * sigma_[s] +
                           std::max(0.0, var_s);
   }
+  entry.resid_sd = std::sqrt(resid_var);
   return entry;
 }
 
@@ -382,29 +368,22 @@ double FilterBankFlicker::sum_variance(std::size_t k) {
 double FilterBankFlicker::advance_sum(std::size_t k) {
   PTRNG_EXPECTS(k >= 1);
   if (k == 1) return next();
-  // The per-stage moment terms depend only on k — memoized (exactly the
-  // doubles the inline computation produced, so realized streams are
-  // unchanged); the counter path revisits the same few k values per
-  // window and paid ~19 std::pow calls each time.
-  const auto& terms = advance_terms(k).terms;
-  const std::size_t i = take_ahead(2);
+  // Per stage, the (sum, end state) pair is jointly Gaussian given the
+  // current state: one draw sets the end-state shock, and the sum is its
+  // regression on that shock plus an independent residual. Callers read
+  // only the total, and the stages' residuals are independent, so their
+  // sum is ONE Gaussian with the pooled stddev — the same joint law with
+  // one draw per stage plus one, instead of two per stage.
+  const AdvanceCacheEntry& entry = advance_terms(k);
+  const std::size_t i = take_ahead();
   double total = 0.0;
   for (std::size_t s = 0; s < rho_.size(); ++s) {
-    const AdvanceTerms& t = terms[s];
-    const double z1 = ahead_[ahead_index(s, i)];
-    const double z2 = ahead_[ahead_index(s, i + 1)];
-    const double mean_s = t.mean_coef * state_[s];
-    const double x_new = t.q * state_[s] + t.sd_x * z1;
-    double sum;
-    if (t.sd_x > 0.0) {
-      sum = mean_s + t.slope * (t.sd_x * z1) + t.resid_sd * z2;
-    } else {
-      sum = mean_s + t.sd_s * z2;
-    }
-    state_[s] = x_new;
-    total += sum;
+    const AdvanceTerms& t = entry.terms[s];
+    const double shock = t.sd_x * ahead_[ahead_index(s, i)];
+    total += t.mean_coef * state_[s] + t.slope * shock;
+    state_[s] = t.q * state_[s] + shock;
   }
-  return total;
+  return total + entry.resid_sd * resid_gauss_();
 }
 
 double FilterBankFlicker::last_sample() const noexcept {

@@ -15,8 +15,8 @@
 // sample-by-sample next() calls (docs/ARCHITECTURE.md §5). The per-sample
 // paths (next(), advance_sum()) read their Gaussians from a draw-ahead
 // block that holds the next few dozen draws of every stage, filled in
-// 4-stage SIMD packs; since every call consumes the same number of draws
-// from each stage, one lockstep cursor serves all stages.
+// 4-stage SIMD packs; since every call consumes exactly one draw from
+// each stage, one lockstep cursor serves all stages.
 #pragma once
 
 #include <array>
@@ -75,9 +75,11 @@ class FilterBankFlicker final : public NoiseSource {
   /// true joint distribution with the end state and moves the generator
   /// k steps forward — O(stages), independent of k. Statistically
   /// indistinguishable from summing k next() calls (each AR(1) stage's
-  /// (sum, end-state) pair is jointly Gaussian with closed-form moments).
-  /// Consumes exactly two draws per stage, so it composes deterministically
-  /// with next()/fill() on the same generator.
+  /// (sum, end-state) pair is jointly Gaussian with closed-form moments;
+  /// the stages' residuals around their regressions on the end-state
+  /// shocks are pooled into one draw). For k >= 2 it consumes exactly one
+  /// draw per stage plus one from the bank's residual stream, so it
+  /// composes deterministically with next()/fill() on the same generator.
   [[nodiscard]] double advance_sum(std::size_t k);
 
   /// Stationary variance of the sum of k consecutive samples — the
@@ -122,6 +124,8 @@ class FilterBankFlicker final : public NoiseSource {
   /// One decorrelated stream per stage so batched per-stage draws consume
   /// each stream in the same order as interleaved per-sample draws.
   std::vector<GaussianSampler> gauss_;
+  /// advance_sum's pooled residual stream, chunk_seed(seed, stages).
+  GaussianSampler resid_gauss_;
   std::vector<double> scratch_;  ///< fill() per-stage staging (stages x block)
 
   /// Draw-ahead block: the next kAhead Gaussians of every stage, drawn
@@ -133,8 +137,8 @@ class FilterBankFlicker final : public NoiseSource {
   /// on first use, so fill()-only generators never pay for it.
   static constexpr std::size_t kAhead = 64;
   std::vector<double> ahead_;
-  std::size_t ahead_pos_ = 0;  ///< lockstep cursor: next unread draw index
-  std::size_t ahead_end_ = 0;  ///< draws buffered per stage
+  /// Lockstep cursor: next unread draw index; kAhead = drained.
+  std::size_t ahead_pos_ = kAhead;
   std::size_t packed_stages_ = 0;  ///< stages in full 4-stage packs
   /// Index of stage s's draw i inside ahead_.
   [[nodiscard]] std::size_t ahead_index(std::size_t s,
@@ -143,24 +147,23 @@ class FilterBankFlicker final : public NoiseSource {
                ? (s & ~std::size_t{3}) * kAhead + 4 * i + (s & 3)
                : s * kAhead + i;
   }
-  /// Returns the cursor of the next `n` (1 or 2) buffered draws per
-  /// stage and moves past them, refilling first when fewer remain.
-  std::size_t take_ahead(std::size_t n);
+  /// Returns the cursor of the next buffered draw of every stage and
+  /// moves past it, refilling the block first when it is drained.
+  std::size_t take_ahead();
 
-  /// Per-stage advance_sum moment terms for one block length k — every
-  /// value exactly what the former inline computation produced, so
-  /// memoizing them is stream-invisible.
+  /// Per-stage advance_sum moment terms for one block length k.
   struct AdvanceTerms {
     double q = 0.0;          ///< rho^k
     double sd_x = 0.0;       ///< stddev of the end state (given x_0)
     double mean_coef = 0.0;  ///< E[S|x_0] = mean_coef * x_0
     double slope = 0.0;      ///< regression of S on the end-state shock
-    double resid_sd = 0.0;   ///< stddev of S around that regression
-    double sd_s = 0.0;       ///< stddev of S when sd_x degenerates to 0
   };
   struct AdvanceCacheEntry {
     std::size_t k = 0;  ///< block length; 0 marks an empty slot
     std::vector<AdvanceTerms> terms;
+    /// Pooled stddev of the stage sums around their regressions:
+    /// sqrt(sum over stages of Var(S_s | x_0, end-state shock)).
+    double resid_sd = 0.0;
     double sum_variance = 0.0;  ///< sum_variance(k)
   };
   /// Small round-robin memo keyed on k: the counter's window loop

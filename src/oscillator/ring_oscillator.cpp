@@ -167,8 +167,26 @@ EdgeBracket RingOscillator::advance_to_block(double t_target,
           return std::sqrt(var);
         });
     if (skip > 0) {
-      advance_periods(skip);
+      // Jump skip + 1 periods and take the last one from the jump: after
+      // advance_sum(skip + 1) the bank's state sum is exactly the last
+      // period's flicker, and its thermal draw is independent of the
+      // head's, so the edge at `skip` and the one after it come out with
+      // their stepped joint law. The loop below then steps only when
+      // that edge is still at or before the target.
+      const double kd = static_cast<double>(skip);
+      double head = kd * t_nom_ + sigma_th_ * std::sqrt(kd) * gauss_();
+      double last = t_nom_ + sigma_th_ * gauss_();
+      if (flicker_) {
+        head += flicker_->advance_sum(skip + 1);
+        const double fl_last = flicker_->last_sample();
+        head -= fl_last;
+        last += fl_last;
+      }
+      edge_time_.add(head);
+      bracket.prev = edge_time();
+      edge_time_.add(last);
       bracket.next = edge_time();
+      cycles_ += skip + 1;
     }
   }
   while (bracket.next <= t_target) {

@@ -62,8 +62,9 @@ struct EdgeBracket {
 // under 1e-14 over a full campaign's ~1e8 jumps. The fixed eighth of a
 // period keeps a margin far above rounding when sigma_N is tiny. Each
 // extra period of margin costs one more next_period() step per call; at
-// paper levels the margin is ~0.3 period, so a call steps 1.3 times on
-// average.
+// paper levels the margin is ~0.3 period. RingOscillator's jump also
+// realizes the period after the landing edge, so a call steps ~0.3 times
+// on average; GateChainOscillator's steps ~1.3 times.
 inline constexpr double kMarginPeriods = 0.125;
 inline constexpr double kMarginSigmas = 10.0;
 
@@ -160,15 +161,17 @@ class RingOscillator {
   /// its edge bracket contains `t_target` and returns that bracket.
   /// `bracket` is the caller's current bracket; bracket.next must be the
   /// most recent realized edge, i.e. edge_time() (checked). Without a
-  /// modulation hook it makes one advance_periods jump that stops
+  /// modulation hook it makes one jump whose landing edge stops
   /// 0.125 period + 10 sigma_N short of the target, sigma_N the
   /// stationary stddev of the gap's accumulated jitter (thermal plus
   /// FilterBankFlicker::sum_variance), so an overshoot has negligible
-  /// probability at any noise level; then it steps period by period
-  /// (1-2 steps at campaign noise levels) to realize the bracketing
-  /// edges. With a hook installed
-  /// it jumps 90% of the remaining gap while at least 16 periods
-  /// remain, then steps. Already-bracketed targets
+  /// probability at any noise level. The same jump realizes the period
+  /// after the landing edge (advance_sum over one more period, whose
+  /// flicker is FilterBankFlicker::last_sample()), so the bracket is
+  /// usually complete; it steps only while its next edge is still at or
+  /// before the target (~0.3 steps per call at campaign noise levels).
+  /// With a hook installed it jumps 90% of the remaining gap while at
+  /// least 16 periods remain, then steps. Already-bracketed targets
   /// (t_target < bracket.next) return the input unchanged, so per-bit
   /// resampling costs nothing extra.
   [[nodiscard]] EdgeBracket advance_to_block(double t_target,

@@ -157,9 +157,10 @@ TEST(FilterBankFlicker, FillMatchesSteppedNextExactly) {
 }
 
 TEST(FilterBankFlicker, FillComposesWithAdvanceSum) {
-  // advance_sum consumes exactly two draws per stage from the same
-  // per-stage streams, so interleaving it with fill() vs with looped
-  // next() must keep the two generators bit-identical.
+  // advance_sum consumes exactly one draw per stage from the same
+  // per-stage streams (plus one from its own residual stream), so
+  // interleaving it with fill() vs with looped next() must keep the two
+  // generators bit-identical.
   FilterBankFlicker::Config cfg;
   cfg.amplitude = 1.0;
   cfg.fs = 1.0;

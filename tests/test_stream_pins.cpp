@@ -4,9 +4,10 @@
 //  (i)  FilterBankFlicker under mixed call sequences — next(),
 //       advance_sum(k) for varied k and fill() of odd lengths, in an
 //       order that exercises every way the three draw paths can
-//       interleave (a block advance that needs two draws per stage right
-//       after 63 single steps, a fill that starts mid-way through
-//       previously drawn Gaussians, fills past the internal block size).
+//       interleave (a block advance that takes the last buffered draw
+//       of every stage right after 63 single steps, a fill that starts
+//       mid-way through previously drawn Gaussians, fills past the
+//       internal block size).
 //       One digest per (bank shape, sampler engine); every digest must
 //       hold with SIMD on and forced off and at pool widths 1 and 8,
 //       which is the batched-noise determinism contract of
@@ -22,9 +23,11 @@
 // declared §5 recalibration. The (ii) and (iii) pins move with any
 // change to how the oscillators realize edges (for example the
 // block-advance margin shared by the oscillators' advance_to_block);
-// such a change re-pins them in the same commit and says so. The (ii) pins were last re-pinned
-// when RingOscillator::advance_to_block moved to one jitter-sized jump
-// per call, the (iii) pins when the cell array's gate-chain cells did.
+// such a change re-pins them in the same commit and says so. The (i)
+// and (ii) pins were last re-pinned when advance_sum pooled its
+// per-stage residual draws into one and RingOscillator's jump began
+// realizing the bracket's first period; the (iii) pins when the cell
+// array's gate-chain cells moved to one jitter-sized jump per tick.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -98,7 +101,8 @@ std::vector<double> run_script(FilterBankFlicker& bank) {
     bank.fill(block);
     out.insert(out.end(), block.begin(), block.end());
   };
-  // Scripted edges: 63 single steps and then a two-draw block advance;
+  // Scripted edges: 63 single steps and then a block advance that takes
+  // the last buffered draw of every stage;
   // a fill entered part-way through earlier draws; single-sample and
   // k = 1 calls; one fill longer than fill()'s internal block.
   for (int i = 0; i < 63; ++i) step();
@@ -160,18 +164,18 @@ void expect_bank_pins(Method method, const char* const (&pins)[3]) {
 
 TEST(StreamPins, FilterBankMixedCallsZiggurat) {
   const char* const pins[3] = {
-      "2176f1a85abe529d2de04aaa9b382ac74a31ef54d879be9ec9d756b5f40ee37d",
-      "a3c082b2b762a20ad2871fc29f7b3237e86597c476dd2cdbb4113fd992613c0f",
-      "6d42ba4f95b8234be131e1e39d0ecf9dd5b3889ef6c6576065ad411fe26dd138",
+      "a88cd2d320b13d0e4bcb04e2c14d8078c1dff7dfdc3fa3b729c0e7c33569a86e",
+      "a60ea83b994d36e17df0c591b03bdcd5d2f76ba77354482d383336c52dc4cc78",
+      "a3e66f5dfa7f1472be7acaf2725687d02fd86c9085d33288d9259fffa6d9cc5f",
   };
   expect_bank_pins(Method::Ziggurat, pins);
 }
 
 TEST(StreamPins, FilterBankMixedCallsPolar) {
   const char* const pins[3] = {
-      "c8065cb6e958f4ab2bc4dd9dadf04d556415a7b61d4ba23dfda3c5234e193a9e",
-      "d60734426e5ae3a005f97c06a6465c62015c64f3429a0352264fe9a798dde852",
-      "e54f5fc946302c6e05841ade3653f36d16d00bf5aaf8a8a54b2f5728af0ed258",
+      "97106ec4681d319b5d70f7861a08208acdb1d55474f2bd164d9ff76e9b5f280a",
+      "eac7ff2bf00b66d4279fb12df0ab14df1bfac5753aa335d6f04977dce0d0c690",
+      "5fd01794fb25488c4d0ed9bf5b341aa593923ecd6ba88659673455af23a8700b",
   };
   expect_bank_pins(Method::Polar, pins);
 }
@@ -180,9 +184,9 @@ constexpr std::uint64_t kBitSeeds[] = {1, 2, 0xdecafbad};
 
 TEST(StreamPins, PaperEroBits) {
   const char* const pins[3] = {
-      "42504a8da88289ab8eecb762e59e84aa9f39ff12bab5a7d265056f5ec68b7ae7",
-      "e811970ac030487c7313ff9e3d2bca38a4f6ab300cd02f35dee6ff6f8fb644bc",
-      "3d1eb9219d0f0a5d3cd32e47645a9245ae5d5c6d23123b051c1cb981297f00c7",
+      "c7cba39434a10ceeecb1cb3b906370c6d54a5eea4418690586a255894185a147",
+      "c4bdbb3f1b5505e2027b7219ee7a5c269b3fd330d0992d68d835dd7da46de5e9",
+      "ff9e10c7f4f1283207ac2a529ce7ed2217b7efa684250fd14404db118c67d1c2",
   };
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
     auto trng = trng::paper_trng(200, kBitSeeds[i]);
@@ -195,9 +199,9 @@ TEST(StreamPins, PaperEroBits) {
 
 TEST(StreamPins, PaperMultiRingBits) {
   const char* const pins[3] = {
-      "abdc1dcacb6568a1da8515893177f37e5cc755e9b87f79022fcf27727c3f2a85",
-      "26b88b2dc109afb096dbd526741cbeb0d3724657717f1473b41cafb3106e5269",
-      "7da1439872590f913b23ac31da1d63e5ba972f79c4ec3bdeaf234405b22fd8c5",
+      "afc1e9bdb6055bc066c038de7a9cac361b45884bd4ef86ed799d4d73ac691584",
+      "80aaa460827c4625665bfdd21908fd3fa887121eb9ab28b255cd5b8cb637b96e",
+      "736cefbad2035189d92aff2225dedc6b966a3ba19a2411d453e7733543e47cf4",
   };
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
     auto trng = trng::paper_multi_ring(4, 200, kBitSeeds[i]);
