@@ -21,6 +21,8 @@
 #include "noise/kasdin.hpp"
 #include "noise/rtn.hpp"
 #include "noise/voss.hpp"
+#include "oscillator/oscillator_pair.hpp"
+#include "oscillator/ring_oscillator.hpp"
 #include "stats/psd.hpp"
 
 namespace {
@@ -196,6 +198,40 @@ void bm_filter_bank_next_loop_1m(benchmark::State& state) {
                           static_cast<std::int64_t>(block.size()));
 }
 BENCHMARK(bm_filter_bank_next_loop_1m)->Unit(benchmark::kMillisecond);
+
+// The oscillator jump path at the paper eRO (103 MHz ring, divider 200):
+// one advance_sum(200) of the ring's own 21-stage flicker bank, and one
+// advance_to_block of the sampled ring per sampling instant, the instants
+// a sampling ring mismatched by -1.5e-3 (paper_trng's split) would give
+// without its jitter, so only the sampled ring's work is timed.
+constexpr std::uint32_t kPaperDivider = 200;
+
+void bm_filter_bank_advance_sum(benchmark::State& state) {
+  const auto ring = oscillator::paper_single_config();
+  const double f0 = ring.f0;
+  FilterBankFlicker bank(flicker_band_config(
+      ring.b_fl / (f0 * f0 * f0 * f0), f0, f0 * ring.flicker_floor_ratio,
+      ring.seed, ring.flicker_stages_per_decade));
+  for (auto _ : state) benchmark::DoNotOptimize(bank.advance_sum(kPaperDivider));
+}
+BENCHMARK(bm_filter_bank_advance_sum);
+
+void bm_ero_advance_to_block(benchmark::State& state) {
+  auto cfg = oscillator::paper_single_config();
+  cfg.mismatch = +1.5e-3;
+  oscillator::RingOscillator sampled(cfg);
+  const double sample_period =
+      kPaperDivider / (cfg.f0 * (1.0 - 1.5e-3));
+  sampled.next_period();
+  oscillator::EdgeBracket bracket{0.0, sampled.edge_time()};
+  double t = 0.0;
+  for (auto _ : state) {
+    t += sample_period;
+    bracket = sampled.advance_to_block(t, bracket);
+    benchmark::DoNotOptimize(bracket);
+  }
+}
+BENCHMARK(bm_ero_advance_to_block);
 
 void bm_kasdin(benchmark::State& state) {
   auto gen = make_generator("kasdin", 1e-3, 2);
