@@ -271,9 +271,11 @@ TEST(BlockAdvance, FlickerAdvanceSumJointLawMatchesStepping) {
 TEST(AdvanceToBlock, NoJumpLandsPastItsTargetAtAnyUnattackedCorner) {
   // Every unattacked ring-family corner of the campaign grid (all nodes,
   // corner deratings, flicker x0/1/4), driven like an eRO: a sampling
-  // ring advanced by the divider sets each target. A jump that landed
-  // past its target would leave the pre-jump edge as bracket.prev, so
-  // the returned bracket would span many periods instead of one.
+  // ring advanced by the divider sets each target. The jump realizes
+  // the edge it lands on and the one after it, so a jump that landed
+  // past its target would return a bracket whose prev lies after the
+  // target; a bracket that is not two consecutive edges would span more
+  // than one period.
   model::CampaignConfig campaign;
   const std::uint32_t dividers[] = {8, 24, 64, 200, 640, 2000};
   constexpr std::size_t kCallsPerCase = 4700;
@@ -351,9 +353,9 @@ TEST(AdvanceToBlock, EroStatisticsMatchTheSteppedApproach) {
                                            markov.stddev(), kSeeds));
 }
 
-/// A flicker bank with the moments of the one `cfg`'s RingOscillator
-/// builds for itself (same band and stages; the moments do not depend
-/// on the seed).
+/// A flicker bank with the moments of the bank that a RingOscillator
+/// built from `cfg` owns (same band and stages; the moments do not
+/// depend on the seed).
 noise::FilterBankFlicker ring_bank(const oscillator::RingOscillatorConfig& cfg) {
   const double f0 = cfg.f0;
   return noise::FilterBankFlicker(noise::flicker_band_config(
@@ -374,15 +376,15 @@ void expect_revealed_period_law(const oscillator::RingOscillatorConfig& base,
                                 std::uint64_t seed0) {
   constexpr std::size_t kDevices = 2000;
   auto bank = ring_bank(base);
+  const oscillator::RingOscillator reference(base);
+  const double period = reference.nominal_period();
+  const double var = reference.sigma_thermal() * reference.sigma_thermal() +
+                     bank.sum_variance(1);
   std::vector<double> revealed, following;
-  double period = 0.0;
-  double var = 0.0;
   for (std::size_t i = 0; i < kDevices; ++i) {
     auto cfg = base;
     cfg.seed = seed0 + i;
     oscillator::RingOscillator osc(cfg);
-    period = osc.nominal_period();
-    var = osc.sigma_thermal() * osc.sigma_thermal() + bank.sum_variance(1);
     osc.next_period();
     oscillator::EdgeBracket bracket{0.0, osc.edge_time()};
     const double phase = std::fmod(0.6180339887 * double(i), 1.0);
