@@ -372,8 +372,8 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
   // current state: one draw sets the end-state shock, and the sum is its
   // regression on that shock plus an independent residual. Callers read
   // only the total, and the stages' residuals are independent, so their
-  // sum is ONE Gaussian with the pooled stddev — the same joint law with
-  // one draw per stage plus one, instead of two per stage.
+  // sum is ONE Gaussian with the pooled stddev: the same joint law from
+  // one draw per stage plus one.
   const AdvanceCacheEntry& entry = advance_terms(k);
   const std::size_t i = take_ahead();
   double total = 0.0;
