@@ -13,7 +13,9 @@
 //       which is the batched-noise determinism contract of
 //       docs/ARCHITECTURE.md §5.
 //  (ii) Raw bits of the paper eRO (divider 200) and the 4-ring
-//       multi-ring generator for three seeds.
+//       multi-ring generator for three seeds, and of the paper eRO under
+//       the two sinusoidally modulated injection attacks (EM harmonic
+//       injection at coupling 0.3 and the campaign's em_strong preset).
 //  (iii) Raw bits of the 3-cell array for three seeds, in two configs:
 //       the campaign's technology-derived 90 nm thermal-only cells at
 //       the default divider 64, and bench_cell_array's jittery
@@ -36,6 +38,7 @@
 #include <string>
 #include <vector>
 
+#include "attacks/injection.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
@@ -209,6 +212,36 @@ TEST(StreamPins, PaperMultiRingBits) {
     trng.generate_into(bits);
     EXPECT_EQ(sha256_hex(std::span<const std::uint8_t>(bits)), pins[i])
         << "seed " << kBitSeeds[i];
+  }
+}
+
+TEST(StreamPins, AttackedEroBits) {
+  const char* const weak_pins[3] = {
+      "4efd80ddb7585baa74b616d802e393936dc189a42c9d6be2018a79f931bfb295",
+      "23c9f511c9e13b35afad1b2fb509dbc9e2d4e4c4993f6c1ff53968541ef13bf7",
+      "b3720f1380aefa4ef1edffa437f3b8a190095bd8cacaacf1bc4a50260b7d69b3",
+  };
+  const char* const strong_pins[3] = {
+      "c675cbb079790afd68b2aca604b4919f579c567d94fb861a4db4ab302fa706d6",
+      "0627b8c6e12e154bb29ebe3529755404fee0ac12bb22aad7a6a7f8a9a0d35257",
+      "522f31f523c68d996ab394752b94b23d7f6439814a1d4a3ed330ea936f50e957",
+  };
+  const auto strong = attacks::attack_by_name("em_strong");
+  ASSERT_TRUE(strong.has_value());
+  ASSERT_GT(strong->modulation_depth, 0.0);
+  auto digest = [](const attacks::InjectionAttack& attack,
+                   std::uint64_t seed) {
+    auto trng = attacks::make_attacked_trng(attack, 200, seed);
+    std::vector<std::uint8_t> bits(2048);
+    trng.generate_into(bits);
+    return sha256_hex(std::span<const std::uint8_t>(bits));
+  };
+  for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
+    EXPECT_EQ(digest(attacks::em_harmonic_attack(0.3), kBitSeeds[i]),
+              weak_pins[i])
+        << "em_harmonic_attack(0.3), seed " << kBitSeeds[i];
+    EXPECT_EQ(digest(*strong, kBitSeeds[i]), strong_pins[i])
+        << "em_strong, seed " << kBitSeeds[i];
   }
 }
 
