@@ -5,7 +5,6 @@
 
 #include "common/contracts.hpp"
 #include "common/error.hpp"
-#include "common/math_utils.hpp"
 #include "oscillator/oscillator_pair.hpp"
 
 namespace ptrng::attacks {
@@ -44,17 +43,14 @@ double InjectionAttack::tone_frequency(
   return (f_injected > 0.0) ? f_injected : config.f0 * 1.000437;
 }
 
-std::function<double(double)> InjectionAttack::modulation_for(
+oscillator::SinusoidalModulation InjectionAttack::modulation_for(
     const oscillator::RingOscillatorConfig& config) const {
   PTRNG_EXPECTS(modulation_depth >= 0.0);
   const double f_actual = config.f0 * (1.0 + config.mismatch);
   const double f_tone = tone_frequency(config);
   const double f_beat = std::abs(f_tone - f_actual);
   PTRNG_EXPECTS(f_beat > 0.0);
-  const double depth = modulation_depth;
-  return [depth, f_beat](double t) {
-    return depth * std::sin(constants::two_pi * f_beat * t);
-  };
+  return {modulation_depth, f_beat};
 }
 
 oscillator::RingOscillator make_attacked_oscillator(

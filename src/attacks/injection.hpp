@@ -19,7 +19,6 @@
 //     test sees as variance inflation).
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -61,9 +60,9 @@ struct InjectionAttack {
       const oscillator::RingOscillatorConfig& config) const;
 
   /// The deterministic beat for THIS oscillator (beat frequency =
-  /// f_injected - f_actual of the config), for
+  /// |tone - f_actual| of the config, depth modulation_depth), for
   /// RingOscillator::set_modulation().
-  [[nodiscard]] std::function<double(double)> modulation_for(
+  [[nodiscard]] oscillator::SinusoidalModulation modulation_for(
       const oscillator::RingOscillatorConfig& config) const;
 };
 

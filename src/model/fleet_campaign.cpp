@@ -412,10 +412,10 @@ CampaignReport run_campaign(const CampaignConfig& config) {
       n = std::min<std::uint64_t>(n, config.max_shards - folded_this_run);
     const std::uint64_t base = state.folded;
     results.assign(static_cast<std::size_t>(n), ShardResult{});
-    // One shard per task, grain 1: shard costs are wildly skewed
-    // (attacked eRO devices run the per-period modulation path), which
-    // is exactly what the work-stealing pool exists for. Results land
-    // in fixed slots, so the fold below never sees completion order.
+    // One shard per task, grain 1: shard costs are uneven (a modulated
+    // attacked eRO shard costs about 1.5x an unattacked one, see
+    // bench_fleet_campaign's bm_ero_shard rows). Results land in fixed
+    // slots, so the fold below never sees completion order.
     const auto body = [&](std::size_t b, std::size_t e) {
       for (std::size_t i = b; i < e; ++i) {
         const std::uint64_t s = base + i;

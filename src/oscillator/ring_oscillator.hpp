@@ -18,7 +18,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -53,8 +52,8 @@ struct EdgeBracket {
   }
 };
 
-// advance_to_block's landing margin for unmodulated oscillators
-// (RingOscillator, GateChainOscillator): the jump stops
+// advance_to_block's landing margin (RingOscillator, GateChainOscillator):
+// the jump stops
 // kMarginPeriods + kMarginSigmas * sigma_N short of the target, sigma_N
 // the stationary stddev of the jump's elapsed time (thermal plus
 // flicker, Eq. 11). The jump's error is exactly Gaussian, so at 10 sigma
@@ -68,8 +67,8 @@ struct EdgeBracket {
 inline constexpr double kMarginPeriods = 0.125;
 inline constexpr double kMarginSigmas = 10.0;
 
-/// Length of an unmodulated advance_to_block jump toward a target `gap`
-/// nominal periods past the latest edge: floor(gap - kMarginPeriods -
+/// Length of an advance_to_block jump toward a target `gap` periods past
+/// the latest edge: floor(gap - kMarginPeriods -
 /// kMarginSigmas * stddev(n) / period) with n = ceil(gap), where
 /// `stddev(n)` is the stddev [s] of the elapsed time of n periods (an
 /// upper bound for the jump's own) and `period` the nominal period [s].
@@ -85,6 +84,21 @@ template <typename Stddev>
       gap - kMarginPeriods - kMarginSigmas * stddev(n) / period;
   return skip >= 1.0 ? static_cast<std::uint64_t>(skip) : 0;
 }
+
+/// Deterministic sinusoidal fractional-frequency modulation
+/// df/f = depth * sin(2 pi f_beat t): the beat an injection attack leaves
+/// on a partially locked ring (attacks::InjectionAttack::modulation_for).
+/// Each period is scaled by 1 - m(t) at its start edge t. depth = 0 is
+/// the free-running ring.
+struct SinusoidalModulation {
+  double depth = 0.0;   ///< peak fractional frequency deviation, in [0, 0.5)
+  double f_beat = 0.0;  ///< beat frequency [Hz]
+
+  /// m(t) = df/f at absolute time t [s].
+  [[nodiscard]] double operator()(double t) const noexcept {
+    return depth * std::sin(constants::two_pi * f_beat * t);
+  }
+};
 
 /// Configuration of a simulated ring oscillator.
 /// (Suppression covers the struct definition only — implicit-ctor NSDMI
@@ -131,8 +145,8 @@ class RingOscillator {
   /// bit-identical to out.size() next_period() calls (the thermal draws
   /// come from the same stream in the same order and the flicker block
   /// rides FilterBankFlicker::fill, which is itself bit-identical to
-  /// stepping). Falls back to stepping when a modulation hook is
-  /// installed (the hook must see every edge time).
+  /// stepping). Falls back to stepping when modulated (each period's
+  /// scale depends on its start edge).
   void next_periods(std::span<PeriodSample> out);
 
   /// Batched edge realization for boundary-resolution consumers (the
@@ -140,8 +154,7 @@ class RingOscillator {
   /// absolute rising-edge time after each one into out — bit-identical
   /// to out.size() next_period() calls reading edge_time() after each
   /// (same per-edge compensated accumulation, same stream consumption
-  /// as next_periods). Falls back to stepping when a modulation hook is
-  /// installed.
+  /// as next_periods). Falls back to stepping when modulated.
   void next_edges(std::span<double> out);
 
   /// Fast path: advances `k` periods in O(flicker stages) time — the
@@ -149,8 +162,10 @@ class RingOscillator {
   /// filter bank's exact block advance. Statistically indistinguishable
   /// from k next_period() calls for every downstream observable that only
   /// depends on edge times at the block boundaries. Steps period by
-  /// period when k < 8. With a modulation hook installed it advances in
-  /// 64-period chunks, each scaled by the modulation at its midpoint.
+  /// period when k < 8. Under modulation the same free-running block
+  /// runs on the ring's own clock: it lands where the ring's closed-form
+  /// period count has grown by its elapsed time in nominal periods
+  /// (docs/ARCHITECTURE.md §5 "Block advance").
   void advance_periods(std::uint64_t k);
 
   /// Absolute time of the most recently produced rising edge [s].
@@ -160,29 +175,29 @@ class RingOscillator {
   /// Bulk-edge API for batched sampling: advances this oscillator until
   /// its edge bracket contains `t_target` and returns that bracket.
   /// `bracket` is the caller's current bracket; bracket.next must be the
-  /// most recent realized edge, i.e. edge_time() (checked). Without a
-  /// modulation hook it makes one jump whose landing edge stops
-  /// 0.125 period + 10 sigma_N short of the target, sigma_N the
-  /// stationary stddev of the gap's accumulated jitter (thermal plus
-  /// FilterBankFlicker::sum_variance), so an overshoot has negligible
-  /// probability at any noise level. The same jump realizes the period
-  /// after the landing edge (advance_sum over one more period, whose
-  /// flicker is FilterBankFlicker::last_sample()), so the bracket is
-  /// usually complete; it steps only while its next edge is still at or
-  /// before the target (~0.3 steps per call at campaign noise levels).
-  /// With a hook installed it jumps 90% of the remaining gap while at
-  /// least 16 periods remain, then steps. Already-bracketed targets
-  /// (t_target < bracket.next) return the input unchanged, so per-bit
-  /// resampling costs nothing extra.
+  /// most recent realized edge, i.e. edge_time() (checked). It makes one
+  /// jump whose landing edge stops 0.125 period + 10 sigma_N short of the
+  /// target, sigma_N the stationary stddev of the gap's accumulated
+  /// jitter (thermal plus FilterBankFlicker::sum_variance, times 1 + depth
+  /// under modulation), so an overshoot has negligible probability at any
+  /// noise level. Under modulation the gap and the jump are counted on
+  /// the ring's own clock, as in advance_periods. The same jump realizes
+  /// the period after the landing edge (advance_sum over one more period,
+  /// whose flicker is FilterBankFlicker::last_sample()), so the bracket
+  /// is usually complete; it steps only while its next edge is still at
+  /// or before the target (~0.3 steps per call at campaign noise levels).
+  /// Already-bracketed targets (t_target < bracket.next) return the input
+  /// unchanged, so per-bit resampling costs nothing extra.
   [[nodiscard]] EdgeBracket advance_to_block(double t_target,
                                              EdgeBracket bracket);
 
   /// Number of periods generated so far.
   [[nodiscard]] std::uint64_t cycle_count() const noexcept { return cycles_; }
 
-  /// Deterministic fractional-frequency modulation hook (used by the
-  /// attack models): df/f = modulation(t). Pass nullptr to clear.
-  void set_modulation(std::function<double(double)> modulation);
+  /// Installs a deterministic fractional-frequency modulation (used by
+  /// the attack models); a default-constructed one (depth 0) clears it.
+  /// The block paths assume a beat far below f0.
+  void set_modulation(SinusoidalModulation modulation);
 
   /// Thermal per-period jitter stddev realized by this instance [s].
   [[nodiscard]] double sigma_thermal() const noexcept { return sigma_th_; }
@@ -200,11 +215,18 @@ class RingOscillator {
   double sigma_th_;
   GaussianSampler gauss_;
   std::optional<noise::FilterBankFlicker> flicker_;  ///< absent if b_fl == 0
-  std::function<double(double)> modulation_;
+  SinusoidalModulation modulation_;
+  /// Under modulation, the ring's deterministic period count N at
+  /// edge_time() (ring_oscillator.cpp), kept by every advance.
+  double count_ = 0.0;
   KahanSum edge_time_;
   std::uint64_t cycles_ = 0;
   std::vector<double> flicker_scratch_;  ///< next_periods block staging
   std::vector<double> thermal_scratch_;  ///< batched thermal draw staging
+
+  [[nodiscard]] bool modulated() const noexcept {
+    return modulation_.depth != 0.0;
+  }
 };
 
 }  // namespace ptrng::oscillator

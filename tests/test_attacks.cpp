@@ -48,6 +48,8 @@ TEST(InjectionAttack, ModulationIsSinusoidalAtTheBeat) {
   cfg.f0 = 100e6;
   cfg.mismatch = 0.0;
   const auto mod = atk.modulation_for(cfg);  // beat = 1 kHz
+  EXPECT_EQ(mod.depth, 1e-4);
+  EXPECT_NEAR(mod.f_beat, 1e3, 1e-6);
   EXPECT_NEAR(mod(0.0), 0.0, 1e-12);
   EXPECT_NEAR(mod(0.25e-3), 1e-4, 1e-9);  // quarter period -> peak
   EXPECT_NEAR(mod(0.5e-3), 0.0, 1e-9);

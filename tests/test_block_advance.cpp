@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "attacks/injection.hpp"
 #include "common/contracts.hpp"
 #include "model/fleet_campaign.hpp"
 #include "noise/filter_bank.hpp"
@@ -39,6 +40,16 @@ noise::FilterBankFlicker::Config flicker_config(std::uint64_t seed) {
   cfg.f_max = 0.25;
   cfg.seed = seed;
   return cfg;
+}
+
+/// A flicker bank with the moments of the bank that a RingOscillator
+/// built from `cfg` owns (same band and stages; the moments do not
+/// depend on the seed).
+noise::FilterBankFlicker ring_bank(const oscillator::RingOscillatorConfig& cfg) {
+  const double f0 = cfg.f0;
+  return noise::FilterBankFlicker(noise::flicker_band_config(
+      cfg.b_fl / (f0 * f0 * f0 * f0), f0, f0 * cfg.flicker_floor_ratio, 1,
+      cfg.flicker_stages_per_decade));
 }
 
 TEST(BlockAdvance, FlickerSumVarianceMatchesStepping) {
@@ -155,7 +166,7 @@ TEST(BlockAdvance, OscillatorSigma2NUnaffectedByJumpSize) {
 }
 
 TEST(BlockAdvance, ModulatedAdvanceTracksStepping) {
-  // With a slow deterministic modulation, the chunked fast path must land
+  // With a slow deterministic modulation, the closed-form jump must land
   // on the same mean elapsed time as stepping.
   auto make = [](std::uint64_t seed) {
     oscillator::RingOscillatorConfig cfg =
@@ -166,14 +177,109 @@ TEST(BlockAdvance, ModulatedAdvanceTracksStepping) {
   };
   auto stepper = make(9);
   auto jumper = make(10);
-  auto mod = [](double t) {
-    return 1e-3 * std::sin(2.0 * M_PI * 50e3 * t);
-  };
+  const oscillator::SinusoidalModulation mod{1e-3, 50e3};
   stepper.set_modulation(mod);
   jumper.set_modulation(mod);
   for (int i = 0; i < 20000; ++i) stepper.next_period();
   jumper.advance_periods(20000);
   EXPECT_NEAR(jumper.edge_time() / stepper.edge_time(), 1.0, 1e-6);
+}
+
+TEST(BlockAdvance, ModulatedNoiseFreeJumpsLandOnTheSteppedEdges) {
+  // Without jitter every edge is deterministic, so each edge a jump
+  // realizes must be its stepped twin's edge with the same index, to
+  // well under the jitter of one period, across three beat cycles and
+  // at a depth ten times the EM attack's.
+  constexpr double kBeat = 100e3;
+  for (const double depth : {3e-3, 3e-2}) {
+    SCOPED_TRACE(depth);
+    auto cfg = oscillator::paper_single_config(0x2e20);
+    cfg.b_th = 0.0;
+    cfg.b_fl = 0.0;
+    const oscillator::SinusoidalModulation mod{depth, kBeat};
+    oscillator::RingOscillator stepper(cfg), advancer(cfg), bracketer(cfg);
+    for (auto* osc : {&stepper, &advancer, &bracketer})
+      osc->set_modulation(mod);
+    const double period = stepper.nominal_period();
+    const auto cycles = static_cast<std::size_t>(3.0 / (kBeat * period));
+    std::vector<double> edges{stepper.edge_time()};
+    while (edges.size() < cycles + 400) {
+      stepper.next_period();
+      edges.push_back(stepper.edge_time());
+    }
+    double worst = 0.0;
+    auto check = [&](double edge, std::uint64_t index) {
+      ASSERT_LT(index, edges.size());
+      worst = std::max(worst, std::abs(edge - edges[index]) / period);
+    };
+    while (advancer.cycle_count() < cycles) {
+      advancer.advance_periods(200);
+      check(advancer.edge_time(), advancer.cycle_count());
+    }
+    bracketer.next_period();
+    oscillator::EdgeBracket bracket{0.0, bracketer.edge_time()};
+    for (std::size_t i = 0; bracketer.cycle_count() < cycles; ++i) {
+      const double t = bracket.next + (200.0 + 0.37 * double(i % 3)) * period;
+      bracket = bracketer.advance_to_block(t, bracket);
+      check(bracket.prev, bracketer.cycle_count() - 1);
+      check(bracket.next, bracketer.cycle_count());
+    }
+    EXPECT_LT(worst, 1e-4);
+  }
+}
+
+TEST(BlockAdvance, ModulatedElapsedTimeLawMatchesStepping) {
+  // Paper-noise rings at a deep beat: over independent ring pairs, the
+  // k-period elapsed time of the jump must follow the stepped law in
+  // mean and variance. Each block ends where the beat slows the ring
+  // most (m = -d). A stepped jitter shifts every later edge, so the
+  // block's jitter lands scaled by 1 - m at its end: the variance grows
+  // by about (1 + d)^2 = 1.44 there, far outside the band, so a jump
+  // that left the jitter unscaled would fail.
+  constexpr std::size_t kTrials = 2000;
+  constexpr std::uint64_t kBlock = 200;
+  const oscillator::SinusoidalModulation mod{0.2, 50e3};
+  auto make = [&mod](std::uint64_t seed, double noise) {
+    auto cfg = oscillator::paper_single_config(seed);
+    cfg.b_th *= noise;
+    cfg.b_fl *= noise;
+    oscillator::RingOscillator osc(cfg);
+    osc.set_modulation(mod);
+    return osc;
+  };
+  // Periods until the trough (sin = -1 at 3/4 of the beat), counted on
+  // a noise-free twin.
+  auto twin = make(0, 0.0);
+  while (twin.edge_time() < 0.75 / mod.f_beat) twin.next_period();
+  const std::uint64_t lead = twin.cycle_count() - kBlock;
+  stats::RunningStats stepped, jumped;
+  for (std::size_t i = 0; i < kTrials; ++i) {
+    auto stepper = make(0x7a40'0000 + 2 * i, 1.0);
+    auto jumper = make(0x7a40'0001 + 2 * i, 1.0);
+    for (std::uint64_t p = 0; p < lead; ++p) stepper.next_period();
+    jumper.advance_periods(lead);
+    const double t0 = stepper.edge_time();
+    for (std::uint64_t p = 0; p < kBlock; ++p) stepper.next_period();
+    stepped.add(stepper.edge_time() - t0);
+    const double t1 = jumper.edge_time();
+    jumper.advance_periods(kBlock);
+    jumped.add(jumper.edge_time() - t1);
+  }
+  EXPECT_NEAR(jumped.mean() / stepped.mean(), 1.0,
+              5.0 * std::sqrt(2.0 * stepped.variance() / double(kTrials)) /
+                  stepped.mean());
+  EXPECT_NEAR(jumped.variance() / stepped.variance(), 1.0,
+              ptrng::testing::variance_ratio_tol(kTrials));
+  // The band above can see the scale: the stepped variance sits far
+  // above the unmodulated one ((1 + d)^2 from the block's own jitter,
+  // more from the earlier edges' jitter, which the beat's slope turns
+  // into elapsed time).
+  auto bank = ring_bank(oscillator::paper_single_config());
+  const double sigma = make(0, 1.0).sigma_thermal();
+  const double unmodulated =
+      double(kBlock) * sigma * sigma + bank.sum_variance(kBlock);
+  EXPECT_GT(stepped.variance() / unmodulated,
+            1.0 + ptrng::testing::variance_ratio_tol(kTrials));
 }
 
 TEST(BlockAdvance, SumVarianceMatchesEnsembleOfBlockSums) {
@@ -268,50 +374,83 @@ TEST(BlockAdvance, FlickerAdvanceSumJointLawMatchesStepping) {
   }
 }
 
-TEST(AdvanceToBlock, NoJumpLandsPastItsTargetAtAnyUnattackedCorner) {
-  // Every unattacked ring-family corner of the campaign grid (all nodes,
-  // corner deratings, flicker x0/1/4), driven like an eRO: a sampling
-  // ring advanced by the divider sets each target. The jump realizes
-  // the edge it lands on and the one after it, so a jump that landed
-  // past its target would return a bracket whose prev lies after the
-  // target; a bracket that is not two consecutive edges would span more
-  // than one period.
-  model::CampaignConfig campaign;
-  const std::uint32_t dividers[] = {8, 24, 64, 200, 640, 2000};
-  constexpr std::size_t kCallsPerCase = 4700;
+struct LandingCounts {
+  std::size_t configs = 0;
   std::uint64_t jumps = 0;
   std::uint64_t overshoots = 0;
   std::uint64_t bad_brackets = 0;
-  std::size_t configs = 0;
+};
+
+/// Drives every eRO corner of the campaign grid whose attack is (or, with
+/// `attacked`, is not) "none" like an eRO, with the rings built as
+/// model::make_device builds them (attack transform, then each ring's
+/// own beat when the attack modulates): a sampling ring advanced by the
+/// divider sets each target. The jump realizes the edge it lands on and
+/// the one after it, so a jump that landed past its target would return
+/// a bracket whose prev lies after the target; a bracket that is not two
+/// consecutive edges would span more than one period.
+LandingCounts drive_ero_corners(bool attacked, std::size_t calls_per_case,
+                                std::uint64_t seed0) {
+  model::CampaignConfig campaign;
+  const std::uint32_t dividers[] = {8, 24, 64, 200, 640, 2000};
+  LandingCounts counts;
   for (const auto& spec : model::expand_grid(campaign)) {
-    if (spec.generator != "ero" || spec.attack != "none") continue;
-    ++configs;
+    if (spec.generator != "ero" || (spec.attack != "none") != attacked)
+      continue;
+    ++counts.configs;
+    const auto attack = attacks::attack_by_name(spec.attack);
     for (const std::uint32_t divider : dividers) {
-      const std::uint64_t seed = 0x0c05'0000 + 16 * configs + divider;
-      oscillator::RingOscillator sampled(
-          model::derated_ring(spec, seed, +1.5e-3));
-      oscillator::RingOscillator sampling(
-          model::derated_ring(spec, seed ^ 0xabcdef9876ULL, -1.5e-3));
+      const std::uint64_t seed = seed0 + 16 * counts.configs + divider;
+      auto sampled_cfg = model::derated_ring(spec, seed, +1.5e-3);
+      auto sampling_cfg =
+          model::derated_ring(spec, seed ^ 0xabcdef9876ULL, -1.5e-3);
+      if (attack) {
+        sampled_cfg = attack->apply(sampled_cfg);
+        sampling_cfg = attack->apply(sampling_cfg);
+      }
+      oscillator::RingOscillator sampled(sampled_cfg);
+      oscillator::RingOscillator sampling(sampling_cfg);
+      if (attack && attack->modulation_depth > 0.0) {
+        sampled.set_modulation(attack->modulation_for(sampled_cfg));
+        sampling.set_modulation(attack->modulation_for(sampling_cfg));
+      }
       sampled.next_period();
       oscillator::EdgeBracket bracket{0.0, sampled.edge_time()};
       const double period = sampled.nominal_period();
-      for (std::size_t i = 0; i < kCallsPerCase; ++i) {
+      for (std::size_t i = 0; i < calls_per_case; ++i) {
         sampling.advance_periods(divider);
         const double t = sampling.edge_time();
         const std::uint64_t before = sampled.cycle_count();
         bracket = sampled.advance_to_block(t, bracket);
-        if (sampled.cycle_count() - before >= 2) ++jumps;
+        if (sampled.cycle_count() - before >= 2) ++counts.jumps;
         if (!(bracket.prev <= t && t < bracket.next) ||
             bracket.next != sampled.edge_time())
-          ++bad_brackets;
-        if (bracket.next - bracket.prev > 1.5 * period) ++overshoots;
+          ++counts.bad_brackets;
+        if (bracket.next - bracket.prev > 1.5 * period) ++counts.overshoots;
       }
     }
   }
-  EXPECT_EQ(configs, 36u);
-  EXPECT_GE(jumps, 1'000'000u);
-  EXPECT_EQ(overshoots, 0u);
-  EXPECT_EQ(bad_brackets, 0u);
+  return counts;
+}
+
+TEST(AdvanceToBlock, NoJumpLandsPastItsTargetAtAnyUnattackedCorner) {
+  // Every unattacked ring-family corner of the campaign grid (all nodes,
+  // corner deratings, flicker x0/1/4).
+  const auto counts = drive_ero_corners(false, 4700, 0x0c05'0000);
+  EXPECT_EQ(counts.configs, 36u);
+  EXPECT_GE(counts.jumps, 1'000'000u);
+  EXPECT_EQ(counts.overshoots, 0u);
+  EXPECT_EQ(counts.bad_brackets, 0u);
+}
+
+TEST(AdvanceToBlock, NoJumpLandsPastItsTargetAtAnyAttackedCorner) {
+  // The same over the 108 attacked corners: em_weak and em_strong rings
+  // jump across their sinusoidal beat, lock rings are unmodulated.
+  const auto counts = drive_ero_corners(true, 1600, 0x0c06'0000);
+  EXPECT_EQ(counts.configs, 108u);
+  EXPECT_GE(counts.jumps, 1'000'000u);
+  EXPECT_EQ(counts.overshoots, 0u);
+  EXPECT_EQ(counts.bad_brackets, 0u);
 }
 
 TEST(AdvanceToBlock, RejectsABracketThatIsNotTheLatestEdge) {
@@ -351,16 +490,6 @@ TEST(AdvanceToBlock, EroStatisticsMatchTheSteppedApproach) {
   EXPECT_NEAR(markov.mean(), kRefMarkov,
               ptrng::testing::mean_difference_tol(kRefMarkovSd, kSeeds,
                                            markov.stddev(), kSeeds));
-}
-
-/// A flicker bank with the moments of the bank that a RingOscillator
-/// built from `cfg` owns (same band and stages; the moments do not
-/// depend on the seed).
-noise::FilterBankFlicker ring_bank(const oscillator::RingOscillatorConfig& cfg) {
-  const double f0 = cfg.f0;
-  return noise::FilterBankFlicker(noise::flicker_band_config(
-      cfg.b_fl / (f0 * f0 * f0 * f0), f0, f0 * cfg.flicker_floor_ratio, 1,
-      cfg.flicker_stages_per_decade));
 }
 
 /// One advance_to_block bracket per fresh oscillator (so the samples

@@ -131,11 +131,19 @@ TEST(RingOscillator, NextPeriodsMatchesSteppingExactly) {
 TEST(RingOscillator, NextPeriodsWithModulationFallsBackToStepping) {
   RingOscillatorConfig cfg = paper_single_config(0x0522);
   RingOscillator stepped(cfg), batched(cfg);
-  auto mod = [](double t) { return 1e-3 * std::sin(2.0 * M_PI * 1e6 * t); };
+  const SinusoidalModulation mod{1e-3, 1e6};
   stepped.set_modulation(mod);
   batched.set_modulation(mod);
   std::vector<PeriodSample> expected(500), got(500);
-  for (auto& s : expected) s = stepped.next_period();
+  double edge = 0.0;
+  for (auto& s : expected) {
+    s = stepped.next_period();
+    // Each period is (T + jitter) scaled by 1 - m at its start edge,
+    // m(t) = 1e-3 sin(2 pi 1e6 t), to the bit.
+    ASSERT_EQ(s.period, (stepped.nominal_period() + s.thermal + s.flicker) *
+                            (1.0 - 1e-3 * std::sin(2.0 * M_PI * 1e6 * edge)));
+    edge = stepped.edge_time();
+  }
   batched.next_periods(got);
   for (std::size_t i = 0; i < got.size(); ++i)
     ASSERT_EQ(got[i].period, expected[i].period) << "period " << i;
@@ -148,7 +156,9 @@ TEST(RingOscillator, ModulationShiftsMeanFrequency) {
   cfg.b_fl = 0.0;
   cfg.seed = 6;
   RingOscillator osc(cfg);
-  osc.set_modulation([](double) { return 1e-3; });  // +0.1% frequency
+  // The 10000 periods span half a 5 kHz beat, over which sin averages
+  // 2/pi: a depth of (pi/2) 1e-3 raises the mean frequency by 0.1%.
+  osc.set_modulation({0.5 * M_PI * 1e-3, 5e3});
   stats::RunningStats rs;
   for (int i = 0; i < 10000; ++i) rs.add(osc.next_period().period);
   EXPECT_NEAR(rs.mean() * 100e6, 1.0 - 1e-3, 1e-5);

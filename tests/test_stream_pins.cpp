@@ -28,8 +28,10 @@
 // such a change re-pins them in the same commit and says so. The (i)
 // and (ii) pins were last re-pinned when advance_sum pooled its
 // per-stage residual draws into one and RingOscillator's jump began
-// realizing the bracket's first period; the (iii) pins when the cell
-// array's gate-chain cells moved to one jitter-sized jump per tick.
+// realizing the bracket's first period, except the attacked eRO pins,
+// which were re-pinned when the modulated rings began jumping on their
+// closed-form clock; the (iii) pins when the cell array's gate-chain
+// cells moved to one jitter-sized jump per tick.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -217,14 +219,14 @@ TEST(StreamPins, PaperMultiRingBits) {
 
 TEST(StreamPins, AttackedEroBits) {
   const char* const weak_pins[3] = {
-      "4efd80ddb7585baa74b616d802e393936dc189a42c9d6be2018a79f931bfb295",
-      "23c9f511c9e13b35afad1b2fb509dbc9e2d4e4c4993f6c1ff53968541ef13bf7",
-      "b3720f1380aefa4ef1edffa437f3b8a190095bd8cacaacf1bc4a50260b7d69b3",
+      "6bfc35d6621da6bb8b1da461d79eba4409e9d42f154702a041b7ae36e3b91333",
+      "cbdce9195e2b62493db081d69320296516cfa5655af6c41053f9c81838c317c1",
+      "bcd97c8345059c2b76dafd89d83c6cd970e8f729b53b352d8364b847ec091b5e",
   };
   const char* const strong_pins[3] = {
-      "c675cbb079790afd68b2aca604b4919f579c567d94fb861a4db4ab302fa706d6",
-      "0627b8c6e12e154bb29ebe3529755404fee0ac12bb22aad7a6a7f8a9a0d35257",
-      "522f31f523c68d996ab394752b94b23d7f6439814a1d4a3ed330ea936f50e957",
+      "2b43755936e7c61f9129363734fffce6c7d83cb39e7c56f771170bd7e001b92f",
+      "d120814f56647db6e7693e3872db77cd22da899864316299c122fcef5989bfaa",
+      "afa9a6f9e20505e5636fdc1175c3e9fbcf42b7a216efad58a80d3e1d6d3041e7",
   };
   const auto strong = attacks::attack_by_name("em_strong");
   ASSERT_TRUE(strong.has_value());
