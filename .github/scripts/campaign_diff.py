@@ -9,10 +9,15 @@ Usage:
 is either another report file or a directory of past nightlies in the
 bench-smoke cache layout (``run-*/`` subdirectories, each holding one
 ``*.json``) — the newest run is the baseline. The campaign is fully
-deterministic for a fixed config, so the previous nightly is an exact
-reference: any rate movement is a code-behaviour change, not sampling
-noise. The tolerance exists for deliberate small recalibrations, not
-for noise.
+deterministic for a fixed config, so between nightlies of the same
+code the previous nightly is an exact reference and any rate movement
+is a code-behaviour change. That stops holding across a declared
+stream change (a §5 recalibration): the new streams are a fresh draw
+of the same process, so each corner's rates move by sampling noise,
+in steps of 1/seeds (one shard flipping its verdict). Read the first
+nightly after such a change against a null: the old code diffed
+against itself at another base seed. The tolerance exists for
+deliberate small recalibrations, not for noise.
 
 Corners are matched by name (``generator/node/corner/fN/attack``);
 corners present on only one side — a grid change — are reported as
