@@ -162,8 +162,8 @@ int main(int argc, char** argv) {
   register_scaling("bm_skewed_shards_fixed", single_cpu, bm_skewed_shards,
                    false);
   for (const char* attack : {"none", "em_weak", "em_strong", "lock"}) {
-    benchmark::RegisterBenchmark(("bm_ero_shard/" + std::string(attack)).c_str(),
-                                 bm_ero_shard, attack)
+    const std::string name = "bm_ero_shard/" + std::string(attack);
+    benchmark::RegisterBenchmark(name.c_str(), bm_ero_shard, attack)
         ->Unit(benchmark::kMillisecond);
   }
   benchmark::RunSpecifiedBenchmarks();

@@ -53,17 +53,17 @@ struct EdgeBracket {
 };
 
 // advance_to_block's landing margin (RingOscillator, GateChainOscillator):
-// the jump stops
-// kMarginPeriods + kMarginSigmas * sigma_N short of the target, sigma_N
-// the stationary stddev of the jump's elapsed time (thermal plus
-// flicker, Eq. 11). The jump's error is exactly Gaussian, so at 10 sigma
-// an overshoot has probability ~8e-24 per jump at any noise level —
-// under 1e-14 over a full campaign's ~1e8 jumps. The fixed eighth of a
-// period keeps a margin far above rounding when sigma_N is tiny. Each
-// extra period of margin costs one more next_period() step per call; at
-// paper levels the margin is ~0.3 period. RingOscillator's jump also
-// realizes the period after the landing edge, so a call steps ~0.3 times
-// on average; GateChainOscillator's steps ~1.3 times.
+// the jump stops kMarginPeriods + kMarginSigmas * sigma_N short of the
+// target, sigma_N the stationary stddev of the jump's elapsed time
+// (thermal plus flicker, Eq. 11). The jump's error is exactly Gaussian,
+// so at 10 sigma an overshoot has probability ~8e-24 per jump at any
+// noise level — under 1e-14 over a full campaign's ~1e8 jumps. The
+// fixed eighth of a period keeps a margin far above rounding when
+// sigma_N is tiny. Each extra period of margin costs one more
+// next_period() step per call; at paper levels the margin is ~0.3
+// period. RingOscillator's jump also realizes the period after the
+// landing edge, so a call steps ~0.3 times on average;
+// GateChainOscillator's steps ~1.3 times.
 inline constexpr double kMarginPeriods = 0.125;
 inline constexpr double kMarginSigmas = 10.0;
 
@@ -91,7 +91,7 @@ template <typename Stddev>
 /// Each period is scaled by 1 - m(t) at its start edge t. depth = 0 is
 /// the free-running ring.
 struct SinusoidalModulation {
-  double depth = 0.0;   ///< peak fractional frequency deviation, in [0, 0.5)
+  double depth = 0.0;   ///< peak fractional frequency deviation, [0, 0.25)
   double f_beat = 0.0;  ///< beat frequency [Hz]
 
   /// m(t) = df/f at absolute time t [s].
