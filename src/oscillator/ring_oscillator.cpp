@@ -8,9 +8,10 @@ namespace ptrng::oscillator {
 
 namespace {
 
-// The clock of a sinusoidally modulated ring (docs/ARCHITECTURE.md §5
-// "Block advance"). Stepping scales each period by 1 - m at its start
-// edge, so the noise-free edges follow the forward-Euler map
+// The clock of a sinusoidally modulated ring (docs/ARCHITECTURE.md §5,
+// "Modulated rings jump on their own clock"). Stepping scales each
+// period by 1 - m at its start edge, so the noise-free edges follow the
+// forward-Euler map
 // t_{i+1} = t_i + T (1 - d sin(w t_i)) of the period-count ODE
 // dt/dn = T (1 - d sin(w t)). That map runs half a period ahead of the
 // ODE; up to O(d (w T)^2) per period it is the exact flow of

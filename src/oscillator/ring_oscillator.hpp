@@ -165,7 +165,7 @@ class RingOscillator {
   /// period when k < 8. Under modulation the same free-running block
   /// runs on the ring's own clock: it lands where the ring's closed-form
   /// period count has grown by its elapsed time in nominal periods
-  /// (docs/ARCHITECTURE.md §5 "Block advance").
+  /// (docs/ARCHITECTURE.md §5, "Modulated rings jump on their own clock").
   void advance_periods(std::uint64_t k);
 
   /// Absolute time of the most recently produced rising edge [s].
