@@ -48,13 +48,30 @@ class Xoshiro256pp {
   /// Seeds the full 256-bit state from one 64-bit seed via SplitMix64.
   explicit Xoshiro256pp(std::uint64_t seed = 0x8badf00ddeadbeefULL) noexcept;
 
+  /// Continues from a raw 256-bit state (see state()); no seeding work,
+  /// so the SIMD kernels' scalar slow paths can rebuild a lane's
+  /// generator per missed draw. The state must not be all zero.
+  explicit Xoshiro256pp(const std::array<std::uint64_t, 4>& state) noexcept
+      : state_(state) {}
+
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
   result_type operator()() noexcept { return next(); }
 
-  /// Next 64 uniformly distributed bits.
-  std::uint64_t next() noexcept;
+  /// Next 64 uniformly distributed bits. Inline: every scalar Gaussian
+  /// draw and the lane kernels' slow paths call it per word.
+  std::uint64_t next() noexcept {
+    const std::uint64_t result = rotl(state_[0] + state_[3], 23) + state_[0];
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform() noexcept {
@@ -91,6 +108,10 @@ class Xoshiro256pp {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_{};
 };
 

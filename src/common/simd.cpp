@@ -1,15 +1,11 @@
 #include "common/simd.hpp"
 
-#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
 namespace ptrng::simd {
 
 namespace {
-
-/// In-process differential-test override (ScopedForceScalar).
-std::atomic<bool> g_force_scalar{false};
 
 /// PTRNG_SIMD=off|0|scalar|false|no disables vector kernels for the
 /// whole process — the env twin of the -DPTRNG_SIMD=OFF build switch,
@@ -44,17 +40,12 @@ const char* compiled_backend() noexcept {
 #endif
 }
 
-bool active() noexcept {
-  static const bool enabled = runtime_supported() && !env_disables_simd();
-  return enabled && !g_force_scalar.load(std::memory_order_relaxed);
+namespace detail {
+
+bool probe_enabled() noexcept {
+  return runtime_supported() && !env_disables_simd();
 }
 
-void force_scalar(bool on) noexcept {
-  g_force_scalar.store(on, std::memory_order_relaxed);
-}
-
-bool scalar_forced() noexcept {
-  return g_force_scalar.load(std::memory_order_relaxed);
-}
+}  // namespace detail
 
 }  // namespace ptrng::simd

@@ -28,6 +28,7 @@
 // (d) no ScopedForceScalar/force_scalar(true) is in effect.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -57,15 +58,31 @@ inline constexpr std::size_t kLanes = 4;
 /// "scalar". (Out of line: anchors simd.cpp in the build-sanity link.)
 [[nodiscard]] const char* compiled_backend() noexcept;
 
+namespace detail {
+/// Backend compiled in, CPU support and the PTRNG_SIMD environment
+/// switch (simd.cpp); probed once, on the first active() call.
+[[nodiscard]] bool probe_enabled() noexcept;
+/// In-process differential-test override (force_scalar).
+inline std::atomic<bool> g_force_scalar{false};
+}  // namespace detail
+
 /// True when vector kernels may run: vector backend compiled in, CPU
 /// support verified at runtime, environment switch PTRNG_SIMD not
 /// "off"/"0"/"scalar"/"false", and no force_scalar(true) in effect.
-[[nodiscard]] bool active() noexcept;
+/// Inline: the per-call kernels ask it on every bank call.
+[[nodiscard]] inline bool active() noexcept {
+  static const bool enabled = detail::probe_enabled();
+  return enabled && !detail::g_force_scalar.load(std::memory_order_relaxed);
+}
 
 /// In-process override used by differential tests and bench preambles:
 /// force_scalar(true) makes active() return false until reset.
-void force_scalar(bool on) noexcept;
-[[nodiscard]] bool scalar_forced() noexcept;
+inline void force_scalar(bool on) noexcept {
+  detail::g_force_scalar.store(on, std::memory_order_relaxed);
+}
+[[nodiscard]] inline bool scalar_forced() noexcept {
+  return detail::g_force_scalar.load(std::memory_order_relaxed);
+}
 
 /// RAII guard around force_scalar for SIMD-vs-scalar differential runs.
 class ScopedForceScalar {

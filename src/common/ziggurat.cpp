@@ -229,8 +229,7 @@ PTRNG_SIMD_TARGET void fill_lanes4_kernel(
         out[4 * i + l] = fast[l];
         continue;
       }
-      Xoshiro256pp lane_rng(0);
-      lane_rng.set_state({st[0][l], st[1][l], st[2][l], st[3][l]});
+      Xoshiro256pp lane_rng({st[0][l], st[1][l], st[2][l], st[3][l]});
       out[4 * i + l] = draw_from_word(lane_rng, words[l]);
       const auto& ns = lane_rng.state();
       for (std::size_t w = 0; w < 4; ++w) st[w][l] = ns[w];

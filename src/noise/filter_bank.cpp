@@ -112,6 +112,52 @@ PTRNG_SIMD_TARGET void fold_pack4_partial(double* out, const double* z,
   }
 }
 
+// Per-call pack kernels for next() and advance_sum(): each call takes
+// draw i of every stage from the draw-ahead block, where a pack's four
+// draws sit contiguous (pack base + 4*i) and packs lie `stride` apart.
+// The kernels compute lane-wise and then fold the lanes into the
+// running sums one stage at a time, lowest first: the scalar loop's
+// exact operations and accumulation order, so they are bit-identical
+// to it.
+
+/// next() over the full packs: x = rho*x + drive*z per stage, the new
+/// states added to `sum` in stage order.
+PTRNG_SIMD_TARGET double step_packs(const double* rho, const double* drive,
+                                    double* state, const double* z,
+                                    std::size_t stride, std::size_t packed,
+                                    double sum) noexcept {
+  for (std::size_t s = 0; s < packed; s += simd::kLanes, z += stride) {
+    const simd::f64x4 x = simd::load4(rho + s) * simd::load4(state + s) +
+                          simd::load4(drive + s) * simd::load4(z);
+    simd::store4(state + s, x);
+    alignas(32) double lane[simd::kLanes];
+    simd::store4(lane, x);
+    for (const double v : lane) sum += v;
+  }
+  return sum;
+}
+
+/// advance_sum() over the full packs: per stage the end-state shock
+/// sd_x*z, the contribution mean_coef*x + slope*shock added to `total`
+/// in stage order, and the end state q*x + shock.
+PTRNG_SIMD_TARGET double advance_packs(const double* q, const double* sd_x,
+                                       const double* mean_coef,
+                                       const double* slope, double* state,
+                                       const double* z, std::size_t stride,
+                                       std::size_t packed,
+                                       double total) noexcept {
+  for (std::size_t s = 0; s < packed; s += simd::kLanes, z += stride) {
+    const simd::f64x4 x = simd::load4(state + s);
+    const simd::f64x4 shock = simd::load4(sd_x + s) * simd::load4(z);
+    simd::store4(state + s, simd::load4(q + s) * x + shock);
+    alignas(32) double contrib[simd::kLanes];
+    simd::store4(contrib, simd::load4(mean_coef + s) * x +
+                              simd::load4(slope + s) * shock);
+    for (const double c : contrib) total += c;
+  }
+  return total;
+}
+
 }  // namespace
 
 FilterBankFlicker::FilterBankFlicker(const Config& config)
@@ -177,8 +223,15 @@ FilterBankFlicker::FilterBankFlicker(const Config& config)
     gauss_.emplace_back(chunk_seed(config.seed, k), gauss_method);
     state_[k] = gauss_[k](0.0, sigma_[k]);
   }
+  sum_states();
   resid_gauss_ = GaussianSampler(chunk_seed(config.seed, rho_.size()),
                                  gauss_method);
+}
+
+void FilterBankFlicker::sum_states() noexcept {
+  double sum = 0.0;
+  for (const double x : state_) sum += x;
+  state_sum_ = sum;
 }
 
 std::size_t FilterBankFlicker::take_ahead() {
@@ -202,11 +255,15 @@ std::size_t FilterBankFlicker::take_ahead() {
 
 double FilterBankFlicker::next() {
   const std::size_t i = take_ahead();
-  double sum = 0.0;
-  for (std::size_t k = 0; k < rho_.size(); ++k) {
+  const std::size_t packed = simd::active() ? packed_stages_ : 0;
+  double sum = step_packs(rho_.data(), drive_.data(), state_.data(),
+                          ahead_.data() + 4 * i, simd::kLanes * kAhead,
+                          packed, 0.0);
+  for (std::size_t k = packed; k < rho_.size(); ++k) {
     state_[k] = rho_[k] * state_[k] + drive_[k] * ahead_[ahead_index(k, i)];
     sum += state_[k];
   }
+  state_sum_ = sum;
   return sum;
 }
 
@@ -318,6 +375,7 @@ void FilterBankFlicker::fill(std::span<double> out) {
       }
     }
   }
+  if (!out.empty()) sum_states();
 }
 
 const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(
@@ -327,7 +385,8 @@ const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(
   AdvanceCacheEntry& entry = advance_cache_[advance_cache_next_];
   advance_cache_next_ = (advance_cache_next_ + 1) % advance_cache_.size();
   entry.k = k;
-  entry.terms.resize(rho_.size());
+  for (auto* terms : {&entry.q, &entry.sd_x, &entry.mean_coef, &entry.slope})
+    terms->resize(rho_.size());
   entry.sum_variance = 0.0;
   double resid_var = 0.0;
   const double kd = static_cast<double>(k);
@@ -345,15 +404,17 @@ const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(
     // Var(S) = g^2 * [k - 2 rho geo + rho^2 geo2] / (1-rho)^2
     const double var_s = g2 * (kd - 2.0 * rho * geo + rho * rho * geo2) *
                          inv_one_m_rho_[s] * inv_one_m_rho_[s];
-    AdvanceTerms& t = entry.terms[s];
-    t.q = q;
-    t.mean_coef = rho * geo;
-    t.sd_x = std::sqrt(std::max(0.0, var_x));
-    t.slope = t.sd_x > 0.0 ? cov / var_x : 0.0;
+    const double mean_coef = rho * geo;
+    const double sd_x = std::sqrt(std::max(0.0, var_x));
+    const double slope = sd_x > 0.0 ? cov / var_x : 0.0;
+    entry.q[s] = q;
+    entry.mean_coef[s] = mean_coef;
+    entry.sd_x[s] = sd_x;
+    entry.slope[s] = slope;
     // Var(S | x_0, end-state shock): what the regression leaves over.
-    resid_var += std::max(0.0, var_s - t.slope * cov);
+    resid_var += std::max(0.0, var_s - slope * cov);
     // Var(S) = Var(E[S|x_0]) + E[Var(S|x_0)], x_0 ~ N(0, sigma^2).
-    entry.sum_variance += t.mean_coef * t.mean_coef * sigma_[s] * sigma_[s] +
+    entry.sum_variance += mean_coef * mean_coef * sigma_[s] * sigma_[s] +
                           std::max(0.0, var_s);
   }
   entry.resid_sd = std::sqrt(resid_var);
@@ -376,20 +437,19 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
   // one draw per stage plus one.
   const AdvanceCacheEntry& entry = advance_terms(k);
   const std::size_t i = take_ahead();
-  double total = 0.0;
-  for (std::size_t s = 0; s < rho_.size(); ++s) {
-    const AdvanceTerms& t = entry.terms[s];
-    const double shock = t.sd_x * ahead_[ahead_index(s, i)];
-    total += t.mean_coef * state_[s] + t.slope * shock;
-    state_[s] = t.q * state_[s] + shock;
+  const std::size_t packed = simd::active() ? packed_stages_ : 0;
+  double total = advance_packs(
+      entry.q.data(), entry.sd_x.data(), entry.mean_coef.data(),
+      entry.slope.data(), state_.data(), ahead_.data() + 4 * i,
+      simd::kLanes * kAhead, packed, 0.0);
+  for (std::size_t s = packed; s < rho_.size(); ++s) {
+    const double shock = entry.sd_x[s] * ahead_[ahead_index(s, i)];
+    total += entry.mean_coef[s] * state_[s] + entry.slope[s] * shock;
+    state_[s] = entry.q[s] * state_[s] + shock;
   }
+  // A separate chain from total's, so the two folds overlap.
+  sum_states();
   return total + entry.resid_sd * resid_gauss_();
-}
-
-double FilterBankFlicker::last_sample() const noexcept {
-  double sum = 0.0;
-  for (const double x : state_) sum += x;
-  return sum;
 }
 
 double FilterBankFlicker::analytic_psd(double f) const {

@@ -92,8 +92,8 @@ class FilterBankFlicker final : public NoiseSource {
   /// The most recent sample: the sum of the stage states, in next()'s
   /// accumulation order. After next() it is the value next() returned;
   /// after advance_sum(k) it is the last of the k samples summed. Draws
-  /// nothing.
-  [[nodiscard]] double last_sample() const noexcept;
+  /// nothing; O(1), since every call that moves the states keeps the sum.
+  [[nodiscard]] double last_sample() const noexcept { return state_sum_; }
 
   /// Exact two-sided PSD of this generator (sum of discrete Lorentzians) at
   /// frequency f — what Welch estimates should converge to.
@@ -121,6 +121,10 @@ class FilterBankFlicker final : public NoiseSource {
   std::vector<double> inv_one_m_rho_;   ///< 1/(1-rho)
   std::vector<double> inv_one_m_rho2_;  ///< 1/(1-rho^2)
   std::vector<double> state_;
+  /// Sum of state_ in stage order (from 0.0, as next() sums it): kept by
+  /// the constructor, next(), fill() and advance_sum() for last_sample().
+  double state_sum_ = 0.0;
+  void sum_states() noexcept;  ///< recomputes state_sum_
   /// One decorrelated stream per stage so batched per-stage draws consume
   /// each stream in the same order as interleaved per-sample draws.
   std::vector<GaussianSampler> gauss_;
@@ -151,16 +155,15 @@ class FilterBankFlicker final : public NoiseSource {
   /// moves past it, refilling the block first when it is drained.
   std::size_t take_ahead();
 
-  /// Per-stage advance_sum moment terms for one block length k.
-  struct AdvanceTerms {
-    double q = 0.0;          ///< rho^k
-    double sd_x = 0.0;       ///< stddev of the end state (given x_0)
-    double mean_coef = 0.0;  ///< E[S|x_0] = mean_coef * x_0
-    double slope = 0.0;      ///< regression of S on the end-state shock
-  };
+  /// advance_sum's moment terms for one block length k. The per-stage
+  /// terms are a struct of arrays in stage order, so the pack kernel
+  /// loads four stages per vector.
   struct AdvanceCacheEntry {
     std::size_t k = 0;  ///< block length; 0 marks an empty slot
-    std::vector<AdvanceTerms> terms;
+    std::vector<double> q;          ///< rho^k
+    std::vector<double> sd_x;       ///< stddev of the end state (given x_0)
+    std::vector<double> mean_coef;  ///< E[S|x_0] = mean_coef * x_0
+    std::vector<double> slope;  ///< regression of S on the end-state shock
     /// Pooled stddev of the stage sums around their regressions:
     /// sqrt(sum over stages of Var(S_s | x_0, end-state shock)).
     double resid_sd = 0.0;

@@ -120,7 +120,8 @@ EdgeBracket GateChainOscillator::advance_to_block(double t_target,
                                                   EdgeBracket bracket) {
   const std::uint64_t skip =
       jump_periods((t_target - bracket.next) / t_nom_, t_nom_,
-                   [this](std::uint64_t n) { return sum_stddev(n); });
+                   [this](std::uint64_t n) { return sum_stddev(n); },
+                   &margin_memo_);
   if (skip > 0) bracket.next += advance_sum(skip);
   while (bracket.next <= t_target) {
     bracket.prev = bracket.next;

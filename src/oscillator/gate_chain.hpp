@@ -108,6 +108,8 @@ class GateChainOscillator {
   /// distinct devices).
   std::vector<noise::FilterBankFlicker> stage_flicker_;
   std::vector<double> scratch_;  ///< next_periods block staging
+  /// advance_to_block's margin per n: sum_stddev runs N banks' sums.
+  JumpMemo margin_memo_;
 };
 
 }  // namespace ptrng::oscillator

@@ -195,8 +195,8 @@ void RingOscillator::advance_periods(std::uint64_t k) {
     for (std::uint64_t i = 0; i < k; ++i) next_period();
     return;
   }
-  const double kd = static_cast<double>(k);
-  double elapsed = kd * t_nom_ + sigma_th_ * std::sqrt(kd) * gauss_();
+  double elapsed =
+      static_cast<double>(k) * t_nom_ + thermal_scale(k) * gauss_();
   if (flicker_) elapsed += flicker_->advance_sum(k);
   if (modulated()) {
     // Run the free-running block on the ring's own clock: its jitter is
@@ -229,12 +229,14 @@ EdgeBracket RingOscillator::advance_to_block(double t_target,
     gap = to.n - count_;
   }
   const double widen = 1.0 + modulation_.depth;
-  const std::uint64_t skip =
-      jump_periods(gap, t_nom_, [this, widen](std::uint64_t n) {
+  const std::uint64_t skip = jump_periods(
+      gap, t_nom_,
+      [this, widen](std::uint64_t n) {
         double var = static_cast<double>(n) * sigma_th_ * sigma_th_;
         if (flicker_) var += flicker_->sum_variance(n);
         return widen * std::sqrt(var);
-      });
+      },
+      &margin_memo_, modulation_.depth);
   if (skip > 0) {
     // Jump skip + 1 periods and take the last one from the jump: after
     // advance_sum(skip + 1) the bank's state sum is exactly the last
@@ -242,8 +244,8 @@ EdgeBracket RingOscillator::advance_to_block(double t_target,
     // head's, so the edge at `skip` and the one after it come out with
     // their stepped joint law. The loop below then steps only when
     // that edge is still at or before the target.
-    const double kd = static_cast<double>(skip);
-    double head = kd * t_nom_ + sigma_th_ * std::sqrt(kd) * gauss_();
+    double head =
+        static_cast<double>(skip) * t_nom_ + thermal_scale(skip) * gauss_();
     double last = t_nom_ + sigma_th_ * gauss_();
     if (flicker_) {
       head += flicker_->advance_sum(skip + 1);

@@ -16,6 +16,7 @@
 // validated against an oracle that hardware never provides.
 #pragma once
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -67,6 +68,32 @@ struct EdgeBracket {
 inline constexpr double kMarginPeriods = 0.125;
 inline constexpr double kMarginSigmas = 10.0;
 
+/// Direct-mapped memo of a value per jump length n: advance_to_block's
+/// margin in periods, the thermal scale sigma_th * sqrt(k). Slot
+/// n % kSlots holds the value last computed for (n, key), where `key`
+/// carries the one input besides n that may change over the owner's
+/// life (the modulation depth; 0 where there is none). So nothing is
+/// ever invalidated, and a collision only costs a recompute. A hit
+/// returns the bits the same computation gave the first time.
+class JumpMemo {
+ public:
+  template <typename Compute>
+  [[nodiscard]] double get(std::uint64_t n, double key, Compute&& compute) {
+    Slot& slot = slots_[n % kSlots];
+    if (slot.n != n || slot.key != key) slot = {n, key, compute()};
+    return slot.value;
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 16;
+  struct Slot {
+    std::uint64_t n = ~std::uint64_t{0};  ///< no jump length matches
+    double key = 0.0;
+    double value = 0.0;
+  };
+  std::array<Slot, kSlots> slots_{};
+};
+
 /// Length of an advance_to_block jump toward a target `gap` periods past
 /// the latest edge: floor(gap - kMarginPeriods -
 /// kMarginSigmas * stddev(n) / period) with n = ceil(gap), where
@@ -74,14 +101,20 @@ inline constexpr double kMarginSigmas = 10.0;
 /// upper bound for the jump's own) and `period` the nominal period [s].
 /// Returns 0 (step only) when the gap is within 1 + kMarginPeriods
 /// periods or when either the gap or the stddev is not finite: the
-/// comparisons are NaN-safe, so a degenerate oscillator steps.
+/// comparisons are NaN-safe, so a degenerate oscillator steps. With a
+/// `memo`, the margin kMarginSigmas * stddev(n) / period is looked up
+/// under (n, key) and computed only on a miss; `key` must name every
+/// input of `stddev` that can change between calls.
 template <typename Stddev>
 [[nodiscard]] std::uint64_t jump_periods(double gap, double period,
-                                         Stddev&& stddev) {
+                                         Stddev&& stddev,
+                                         JumpMemo* memo = nullptr,
+                                         double key = 0.0) {
   if (!(gap > 1.0 + kMarginPeriods)) return 0;
   const auto n = static_cast<std::uint64_t>(std::ceil(gap));
+  const auto margin = [&] { return kMarginSigmas * stddev(n) / period; };
   const double skip =
-      gap - kMarginPeriods - kMarginSigmas * stddev(n) / period;
+      gap - kMarginPeriods - (memo ? memo->get(n, key, margin) : margin());
   return skip >= 1.0 ? static_cast<std::uint64_t>(skip) : 0;
 }
 
@@ -223,6 +256,15 @@ class RingOscillator {
   std::uint64_t cycles_ = 0;
   std::vector<double> flicker_scratch_;  ///< next_periods block staging
   std::vector<double> thermal_scratch_;  ///< batched thermal draw staging
+  JumpMemo margin_memo_;   ///< advance_to_block's margin per (n, depth)
+  JumpMemo thermal_memo_;  ///< sigma_th * sqrt(k) per jump length k
+
+  /// sigma_th * sqrt(k): the stddev of k periods' summed thermal jitter.
+  [[nodiscard]] double thermal_scale(std::uint64_t k) {
+    return thermal_memo_.get(k, 0.0, [this, k] {
+      return sigma_th_ * std::sqrt(static_cast<double>(k));
+    });
+  }
 
   [[nodiscard]] bool modulated() const noexcept {
     return modulation_.depth != 0.0;
