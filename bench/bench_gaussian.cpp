@@ -7,6 +7,7 @@
 // one table lookup on ~98.8% of draws).
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <cstdint>
 #include <iostream>
 #include <span>
@@ -75,6 +76,25 @@ BENCHMARK_CAPTURE(bm_gaussian_fill, polar, GaussianSampler::Method::Polar)
 BENCHMARK_CAPTURE(bm_gaussian_fill, ziggurat,
                   GaussianSampler::Method::Ziggurat)
     ->Unit(benchmark::kMillisecond);
+
+// The lane kernel at the shape of a flicker bank's draw-ahead refill:
+// four Ziggurat streams advance in lockstep for 64 draws each, landing
+// interleaved (GaussianSampler::fill_lanes, ZigguratNormal::fill_lanes4).
+void bm_gaussian_fill_lanes(benchmark::State& state) {
+  constexpr std::size_t kLaneDraws = 64;
+  std::array<GaussianSampler, 4> lanes;
+  for (std::size_t l = 0; l < lanes.size(); ++l)
+    lanes[l] = GaussianSampler(chunk_seed(0x9a55, l));
+  std::vector<double> block(4 * kLaneDraws);
+  for (auto _ : state) {
+    GaussianSampler::fill_lanes({&lanes[0], &lanes[1], &lanes[2], &lanes[3]},
+                                block);
+    benchmark::DoNotOptimize(block.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(bm_gaussian_fill_lanes);
 
 // Pool-parallel fill: 8 fixed, independent chunk_seed streams each fill
 // 1/8 of the block one-per-task (§5 batched-noise rules), so the output

@@ -6,7 +6,9 @@
 // generator/measurement paths under ScopedForceScalar and always run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <numeric>
@@ -225,9 +227,9 @@ TEST(FillLanes, MatchesIndependentPerLaneDraws) {
 }
 
 // ---------------------------------------------------------------------
-// FilterBankFlicker fill: SIMD vs forced scalar at several pool widths,
-// stage-count remainders, a mid-block re-entry, and an advance_sum
-// interleave. Stage counts are swept via stages_per_decade so the AR(1)
+// FilterBankFlicker fill and per-call kernels: SIMD vs forced scalar at
+// several pool widths, stage-count remainders, a mid-block re-entry, and
+// advance_sum / next / last_sample interleaves. Stage counts are swept via stages_per_decade so the AR(1)
 // pack loop sees full packs, scalar tails (1-2 stages) and the padded
 // 3-stage tail.
 // ---------------------------------------------------------------------
@@ -243,18 +245,41 @@ noise::FilterBankFlicker::Config bank_config(unsigned spd) {
   return cfg;
 }
 
-std::vector<double> bank_run(unsigned spd, bool force, std::size_t threads) {
+/// Every double a bank run produces, as bit patterns: the comparison is
+/// bitwise, so -0.0 against +0.0 or a NaN payload would show too.
+std::vector<std::uint64_t> bank_run(unsigned spd, bool force,
+                                    std::size_t threads) {
   noise::FilterBankFlicker bank(bank_config(spd));
   std::optional<simd::ScopedForceScalar> guard;
   if (force) guard.emplace();
   ThreadPool::global().resize(threads);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   std::vector<double> out(9001);
+  out.push_back(bank.last_sample());  // the constructor's state sum
   bank.fill(std::span<double>(out).subspan(0, 1234));  // mid-block cut
+  // The kept state sum is the sample the stage-order fold produced.
+  EXPECT_EQ(bits(bank.last_sample()), bits(out[1233]));
   out.push_back(bank.advance_sum(57));
+  out.push_back(bank.last_sample());
   bank.fill(std::span<double>(out).subspan(1234, 9001 - 1234));
+  EXPECT_EQ(bits(bank.last_sample()), bits(out[9000]));
   out.push_back(bank.next());
+  EXPECT_EQ(bits(bank.last_sample()), bits(out.back()));
+  // Per-call kernels: advance_sum over short, paper-divider and long
+  // blocks with next() interleaved, for long enough to cross several
+  // draw-ahead refills.
+  for (int round = 0; round < 6; ++round) {
+    for (const std::size_t k : {2, 3, 57, 199, 200, 201, 10000}) {
+      out.push_back(bank.advance_sum(k));
+      out.push_back(bank.last_sample());
+      out.push_back(bank.next());
+      EXPECT_EQ(bits(bank.last_sample()), bits(out.back()));
+    }
+  }
   ThreadPool::global().resize(0);
-  return out;
+  std::vector<std::uint64_t> pattern(out.size());
+  std::transform(out.begin(), out.end(), pattern.begin(), bits);
+  return pattern;
 }
 
 TEST(FilterBankSimd, FillMatchesScalarFallbackAcrossStageRemainders) {
