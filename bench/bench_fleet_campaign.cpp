@@ -5,8 +5,8 @@
 // Fixed chunking at auto_grain packs several heavy shards into one
 // chunk and the fleet waits on it; grain-1 work stealing keeps every
 // worker fed. The skew is now mild: a modulated attacked eRO shard
-// costs about 1.5x an unattacked one (bm_ero_shard: 1.2-1.4 vs
-// 0.8-1.0 ms on a 4-vCPU Xeon KVM host), down from about 4.5x before
+// costs about 1.4x an unattacked one (bm_ero_shard: 1.0-1.2 vs
+// 0.76-0.84 ms on a 4-vCPU Xeon KVM host), down from about 4.5x before
 // the modulated rings jumped on their closed-form clock. The synthetic
 // rows below keep the old 10x skew.
 //

@@ -90,6 +90,7 @@ void bm_gaussian_fill_lanes(benchmark::State& state) {
     GaussianSampler::fill_lanes({&lanes[0], &lanes[1], &lanes[2], &lanes[3]},
                                 block);
     benchmark::DoNotOptimize(block.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(block.size()));

@@ -375,7 +375,7 @@ void FilterBankFlicker::fill(std::span<double> out) {
       }
     }
   }
-  if (!out.empty()) sum_states();
+  sum_states();
 }
 
 const FilterBankFlicker::AdvanceCacheEntry& FilterBankFlicker::advance_terms(

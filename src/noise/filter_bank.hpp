@@ -16,7 +16,9 @@
 // paths (next(), advance_sum()) read their Gaussians from a draw-ahead
 // block that holds the next few dozen draws of every stage, filled in
 // 4-stage SIMD packs; since every call consumes exactly one draw from
-// each stage, one lockstep cursor serves all stages.
+// each stage, one lockstep cursor serves all stages. They compute in
+// the same 4-stage packs and fold the lanes in stage order, so they
+// are bit-identical to a scalar stage loop.
 #pragma once
 
 #include <array>

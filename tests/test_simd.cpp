@@ -229,9 +229,9 @@ TEST(FillLanes, MatchesIndependentPerLaneDraws) {
 // ---------------------------------------------------------------------
 // FilterBankFlicker fill and per-call kernels: SIMD vs forced scalar at
 // several pool widths, stage-count remainders, a mid-block re-entry, and
-// advance_sum / next / last_sample interleaves. Stage counts are swept via stages_per_decade so the AR(1)
-// pack loop sees full packs, scalar tails (1-2 stages) and the padded
-// 3-stage tail.
+// advance_sum / next / last_sample interleaves. Stage counts are swept
+// via stages_per_decade so the AR(1) pack loop sees full packs, scalar
+// tails (1-2 stages) and the padded 3-stage tail.
 // ---------------------------------------------------------------------
 
 noise::FilterBankFlicker::Config bank_config(unsigned spd) {
