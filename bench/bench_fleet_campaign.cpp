@@ -1,39 +1,28 @@
-// FLEETCAMPAIGN — the work-stealing scheduler against its fixed-chunk
-// ancestor on the fleet campaign's workload shape: shard costs are
-// uneven and heavier shards sit CONTIGUOUSLY in shard-index order (the
-// attack axis is innermost, so a corner's devices are neighbours).
-// Fixed chunking at auto_grain packs several heavy shards into one
-// chunk and the fleet waits on it; grain-1 work stealing keeps every
-// worker fed. The skew is now mild: a modulated attacked eRO shard
-// costs about 1.4x an unattacked one (bm_ero_shard: 1.0-1.2 vs
+// FLEETCAMPAIGN — the fleet campaign's cost and its per-shard skew.
+// Shards run on the pool's one claim loop at grain 1: a lane that
+// finishes a cheap shard claims the next one at once, so uneven shard
+// costs balance dynamically. The skew is mild: a modulated attacked eRO
+// shard costs about 1.4x an unattacked one (bm_ero_shard: 1.0-1.2 vs
 // 0.76-0.84 ms on a 4-vCPU Xeon KVM host), down from about 4.5x before
-// the modulated rings jumped on their closed-form clock. The synthetic
-// rows below keep the old 10x skew.
+// the modulated rings jumped on their closed-form clock.
 //
 // Rows:
 //  * bm_fleet_campaign_serial — one-thread end-to-end campaign cost,
-//    the gated row (scheduler-independent);
-//  * bm_fleet_campaign_{ws,fixed}/W — end-to-end campaign at pool
-//    width W under each scheduler;
-//  * bm_skewed_shards_{ws,fixed}/W — the synthetic core of the story:
-//    identical skewed busy-work, auto_grain fixed chunks vs grain-1
-//    stealing. Read the ws speedup at the width matching the machine.
+//    the gated row;
 //  * bm_ero_shard/<attack> — the mean cost of one 2000-bit eRO shard at
 //    180nm/tt/f1 under each attack preset, a fresh device per
-//    iteration: the per-shard skew the scheduler rows are about.
+//    iteration: the per-shard skew the claim loop balances.
 //
-// Thread-scaling rows are runtime-registered: on a single-CPU host the
-// W >= 2 rows measure oversubscription noise, not scaling, so they get
-// the ":informational" suffix bench_diff.py skips. The preamble
-// verifies that both schedulers produce byte-identical campaign
-// reports before any timing is trusted.
+// The preamble verifies that the campaign report is byte-identical at
+// pool width 1 and at the host's width (capped at 8) before any timing
+// is trusted.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/parallel.hpp"
 #include "model/fleet_campaign.hpp"
@@ -50,17 +39,18 @@ CampaignConfig bench_config() {
   config.corners = 4;
   config.seeds = 4;
   config.bits_per_shard = 2000;
-  config.batch_size = 16;  // one batch: pure scheduler comparison
+  config.batch_size = 16;  // one batch: every shard in one fan-out
   return config;
 }
 
-bool verify_schedulers_agree() {
-  auto config = bench_config();
-  config.use_work_stealing = true;
-  const auto ws = run_campaign(config);
-  config.use_work_stealing = false;
-  const auto fixed = run_campaign(config);
-  return ws.json() == fixed.json();
+bool verify_widths_agree(std::size_t wide) {
+  auto& pool = ThreadPool::global();
+  pool.resize(1);
+  const auto serial = run_campaign(bench_config()).json();
+  pool.resize(wide);
+  const auto parallel = run_campaign(bench_config()).json();
+  pool.resize(0);
+  return serial == parallel;
 }
 
 void bm_fleet_campaign_serial(benchmark::State& state) {
@@ -74,30 +64,6 @@ void bm_fleet_campaign_serial(benchmark::State& state) {
 }
 BENCHMARK(bm_fleet_campaign_serial)->Unit(benchmark::kMillisecond);
 
-void bm_fleet_campaign_sched(benchmark::State& state, bool ws) {
-  ThreadPool::global().resize(static_cast<std::size_t>(state.range(0)));
-  auto config = bench_config();
-  config.use_work_stealing = ws;
-  for (auto _ : state) {
-    auto report = run_campaign(config);
-    benchmark::DoNotOptimize(report.shards_folded);
-  }
-  ThreadPool::global().resize(0);
-}
-
-// Synthetic skewed shards: shard i costs ~10x when its corner is
-// "attacked" (3 of every 4 corners, contiguous): the campaign's former
-// cost profile, without the simulator's noise floor.
-double skewed_work(std::size_t shard) {
-  const std::size_t corner = shard / 4;   // 4 "seeds" per corner
-  const bool heavy = (corner % 4) != 0;   // 3 of 4 corners attacked
-  const std::size_t iters = heavy ? 60'000 : 6'000;
-  double acc = 1.0;
-  for (std::size_t k = 0; k < iters; ++k)
-    acc += 1.0 / static_cast<double>(2 * k + 1);
-  return acc;
-}
-
 void bm_ero_shard(benchmark::State& state, const char* attack) {
   CampaignConfig config;
   config.bits_per_shard = 2000;
@@ -109,58 +75,19 @@ void bm_ero_shard(benchmark::State& state, const char* attack) {
   }
 }
 
-constexpr std::size_t kSkewedShards = 512;
-
-void bm_skewed_shards(benchmark::State& state, bool ws) {
-  ThreadPool::global().resize(static_cast<std::size_t>(state.range(0)));
-  std::vector<double> out(kSkewedShards);
-  const auto body = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) out[i] = skewed_work(i);
-  };
-  for (auto _ : state) {
-    if (ws)
-      parallel_for_ws(0, kSkewedShards, 1, body);
-    else
-      parallel_for(0, kSkewedShards, 0, body);  // auto_grain chunks
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(kSkewedShards));
-  ThreadPool::global().resize(0);
-}
-
-void register_scaling(const char* base_name, bool single_cpu,
-                      void (*fn)(benchmark::State&, bool), bool ws) {
-  const std::string name =
-      single_cpu ? std::string(base_name) + ":informational" : base_name;
-  benchmark::RegisterBenchmark(name.c_str(), fn, ws)
-      ->Arg(2)->Arg(8)
-      ->Unit(benchmark::kMillisecond)
-      ->MeasureProcessCPUTime()
-      ->UseRealTime();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::cout << "=== FLEETCAMPAIGN: work-stealing vs fixed-chunk on skewed "
-               "shards ===\n"
+  const std::size_t wide = std::clamp<std::size_t>(
+      std::thread::hardware_concurrency(), 1, 8);
+  std::cout << "=== FLEETCAMPAIGN: campaign cost and per-shard skew ===\n"
             << "hardware concurrency " << std::thread::hardware_concurrency()
             << "\n";
-  const bool agree = verify_schedulers_agree();
-  std::cout << "scheduler report identity (ws vs fixed-chunk): "
-            << (agree ? "OK" : "FAILED") << "\n\n";
+  const bool agree = verify_widths_agree(wide);
+  std::cout << "report identity (width 1 vs " << wide
+            << "): " << (agree ? "OK" : "FAILED") << "\n\n";
   if (!agree) return 1;  // fail bench-smoke, timings untrustworthy
   benchmark::Initialize(&argc, argv);
-  const bool single_cpu = std::thread::hardware_concurrency() <= 1;
-  register_scaling("bm_fleet_campaign_ws", single_cpu,
-                   bm_fleet_campaign_sched, true);
-  register_scaling("bm_fleet_campaign_fixed", single_cpu,
-                   bm_fleet_campaign_sched, false);
-  register_scaling("bm_skewed_shards_ws", single_cpu, bm_skewed_shards,
-                   true);
-  register_scaling("bm_skewed_shards_fixed", single_cpu, bm_skewed_shards,
-                   false);
   for (const char* attack : {"none", "em_weak", "em_strong", "lock"}) {
     const std::string name = "bm_ero_shard/" + std::string(attack);
     benchmark::RegisterBenchmark(name.c_str(), bm_ero_shard, attack)

@@ -35,6 +35,7 @@
 #include "trng/bit_stream.hpp"
 #include "trng/entropy.hpp"
 #include "trng/ero_trng.hpp"
+#include "trng/online_test.hpp"
 #include "trng/postprocess.hpp"
 #include "trng/raw_export.hpp"
 
@@ -120,7 +121,7 @@ int main(int argc, char** argv) {
   auto xor_src = trng::paper_trng(divider, 0xa0d17);
   trng::Pipeline xor_pipe(xor_src);
   xor_pipe.add_transform(std::make_unique<trng::XorDecimateTransform>(2))
-      .set_monitor(&monitor);
+      .attach_tap(monitor);
 
   // --raw-out: export the raw stream this pipeline pumps, and record it
   // in-process for the cross-check below. Both taps watch the SAME
@@ -161,7 +162,7 @@ int main(int argc, char** argv) {
                 cell(trng::serial_correlation(vn), 6)});
   post.print(std::cout);
   std::cout << "online-test tap on the raw stream: " << monitor.decisions()
-            << " decisions, " << xor_pipe.alarms() << " alarms\n";
+            << " decisions, " << monitor.alarms() << " alarms\n";
 
   // Export cross-check: what external tooling will read from the file
   // must match what this process measured, byte for byte and estimator

@@ -1,7 +1,7 @@
 // Fleet-scale Monte Carlo corner campaign CLI (model/fleet_campaign.hpp):
 // expands the {generator x node x operating corner x flicker x attack}
-// grid, simulates `--seeds` devices per corner on the work-stealing
-// pool, and prints the per-corner verdict table. With `--checkpoint`
+// grid, simulates `--seeds` devices per corner on the thread pool, and
+// prints the per-corner verdict table. With `--checkpoint`
 // the campaign snapshots after every batch and `--resume` continues a
 // killed run — the final report is BYTE-IDENTICAL to an uninterrupted
 // run (the CI kill-and-resume smoke relies on exactly that).
@@ -17,7 +17,6 @@
 //   --resume          continue from --checkpoint if present
 //   --max-shards N    fold at most N shards, then checkpoint and exit 3
 //   --report-json F   write the versioned JSON report to F
-//   --fixed-chunk     use the fixed-chunk scheduler (scheduler A/B runs)
 //   --quiet           suppress the progress lines
 #include <cstdlib>
 #include <cstring>
@@ -74,8 +73,6 @@ int main(int argc, char** argv) {
       config.max_shards = static_cast<std::size_t>(parse_u64(value()));
     } else if (arg("--report-json")) {
       report_json = value();
-    } else if (arg("--fixed-chunk")) {
-      config.use_work_stealing = false;
     } else if (arg("--quiet")) {
       quiet = true;
     } else {

@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <utility>
 
 #include "common/contracts.hpp"
 #include "common/rng.hpp"
@@ -18,14 +17,8 @@ namespace ptrng {
 namespace {
 
 // True on a pool worker thread, and on a caller thread while it executes
-// chunks of its own parallel_for — both must not fan out again through
-// the DETERMINISTIC entry point.
+// chunks of its own parallel_for — both must not fan out again.
 thread_local bool t_inside_pool_task = false;
-
-// Work-stealing nesting depth of the current thread: > 0 while the
-// thread executes a chunk of a ws job. parallel_for_ws fans out (child
-// job) at any depth; deterministic parallel_for still runs inline.
-thread_local int t_ws_depth = 0;
 
 }  // namespace
 
@@ -97,30 +90,6 @@ struct ThreadPool::Impl {
     }
   };
 
-  // One live work-stealing job (parallel_for_ws). Unlike the single
-  // deterministic Job slot, any number of ws jobs can be live at once:
-  // concurrent top-level submitters and nested child jobs all register
-  // here, and every worker or blocked submitter drains chunks from ANY
-  // of them. The shared `next` counter is the steal point — a chunk
-  // claimed by a thread other than the submitter is a steal.
-  struct WsJob {
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    std::size_t begin = 0;
-    std::size_t grain = 1;
-    std::size_t chunks = 0;
-    std::size_t end = 0;
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> remaining{0};
-    std::atomic<bool> cancelled{false};
-    std::mutex error_mutex;
-    std::exception_ptr error;
-    std::thread::id submitter;
-
-    [[nodiscard]] bool has_claimable() const noexcept {
-      return next.load(std::memory_order_relaxed) < chunks;
-    }
-  };
-
   // Atomic because parallel_for/thread_count read it without taking
   // submit_mutex while resize() (which holds submit_mutex) rewrites it.
   std::atomic<std::size_t> width{1};
@@ -130,80 +99,22 @@ struct ThreadPool::Impl {
   std::condition_variable done_cv;
   std::shared_ptr<Job> job;       // guarded by mutex
   std::uint64_t job_seq = 0;      // bumped per submitted job
-  std::vector<std::shared_ptr<WsJob>> ws_jobs;  // guarded by mutex
-  std::atomic<std::uint64_t> steals{0};
   bool stopping = false;
   std::mutex submit_mutex;        // serializes concurrent parallel_for calls
-
-  /// First live ws job with an unclaimed chunk. Caller holds `mutex`.
-  [[nodiscard]] std::shared_ptr<WsJob> claimable_ws_locked() const {
-    for (const auto& j : ws_jobs)
-      if (j->has_claimable()) return j;
-    return nullptr;
-  }
-
-  /// Claims and runs chunks of `j` until its shared index is exhausted
-  /// (the WsJob twin of Job::run). Every claimed index is counted
-  /// exactly once; the final decrement of `remaining` wakes the
-  /// submitter (and any helper) blocked on done_cv. Executing a chunk
-  /// submitted by another thread bumps the steal counter.
-  void run_ws(WsJob& j) {
-    const bool stealing = std::this_thread::get_id() != j.submitter;
-    const bool was_inside = t_inside_pool_task;
-    t_inside_pool_task = true;  // nested DETERMINISTIC calls stay inline
-    ++t_ws_depth;               // nested ws calls fan out as child jobs
-    std::size_t done = 0;
-    for (;;) {
-      const std::size_t i = j.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= j.chunks) break;
-      if (!j.cancelled.load(std::memory_order_relaxed)) {
-        const std::size_t b = j.begin + i * j.grain;
-        const std::size_t e = std::min(j.end, b + j.grain);
-        try {
-          (*j.body)(b, e);
-          if (stealing) steals.fetch_add(1, std::memory_order_relaxed);
-        } catch (...) {
-          {
-            const std::lock_guard<std::mutex> lock(j.error_mutex);
-            if (!j.error) j.error = std::current_exception();
-          }
-          j.cancelled.store(true, std::memory_order_relaxed);
-        }
-      }
-      ++done;
-    }
-    --t_ws_depth;
-    t_inside_pool_task = was_inside;
-    if (done != 0 &&
-        j.remaining.fetch_sub(done, std::memory_order_acq_rel) == done) {
-      const std::lock_guard<std::mutex> lock(mutex);
-      done_cv.notify_all();
-    }
-  }
 
   void worker_main() {
     t_inside_pool_task = true;
     std::uint64_t seen = 0;
     for (;;) {
       std::shared_ptr<Job> j;
-      std::shared_ptr<WsJob> ws;
       {
         std::unique_lock<std::mutex> lock(mutex);
-        work_cv.wait(lock, [&] {
-          return stopping || job_seq != seen || claimable_ws_locked();
-        });
+        work_cv.wait(lock, [&] { return stopping || job_seq != seen; });
         if (stopping) return;
-        ws = claimable_ws_locked();
-        if (!ws) {
-          seen = job_seq;
-          j = job;
-        }
+        seen = job_seq;
+        j = job;
       }
-      if (ws) {
-        run_ws(*ws);
-      } else if (j) {
-        j->run(*this);
-      }
+      if (j) j->run(*this);
     }
   }
 
@@ -291,90 +202,6 @@ void ThreadPool::parallel_for(
     impl_->job.reset();
   }
   if (j->error) std::rethrow_exception(j->error);
-}
-
-void ThreadPool::parallel_for_ws(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t range = end - begin;
-  if (grain == 0) grain = auto_grain(range);
-  const std::size_t chunks = (range + grain - 1) / grain;
-
-  // Serial path: width 1, a single chunk, or a call from inside a
-  // DETERMINISTIC pool task (whose no-nesting contract predates ws
-  // mode). Same chunk boundaries in order, so per-chunk seeding and
-  // index-slot writes behave identically to the scheduled path.
-  if (impl_->width == 1 || chunks == 1 ||
-      (t_inside_pool_task && t_ws_depth == 0)) {
-    for (std::size_t i = 0; i < chunks; ++i) {
-      const std::size_t b = begin + i * grain;
-      body(b, std::min(end, b + grain));
-    }
-    return;
-  }
-
-  // No submit_mutex here: concurrent ws submissions (including child
-  // jobs registered from inside a ws chunk) are the whole point.
-  auto j = std::make_shared<Impl::WsJob>();
-  j->body = &body;
-  j->begin = begin;
-  j->end = end;
-  j->grain = grain;
-  j->chunks = chunks;
-  j->remaining.store(chunks, std::memory_order_relaxed);
-  j->submitter = std::this_thread::get_id();
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->ws_jobs.push_back(j);
-  }
-  impl_->work_cv.notify_all();  // wake idle workers
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    impl_->done_cv.notify_all();  // wake submitters blocked in help loops
-  }
-
-  // The submitter drains its own job first, then helps ANY live job
-  // while waiting for stolen chunks of its own to complete — a blocked
-  // parent is an execution lane for its children and for unrelated
-  // campaigns alike.
-  impl_->run_ws(*j);
-  for (;;) {
-    std::shared_ptr<Impl::WsJob> other;
-    {
-      std::unique_lock<std::mutex> lock(impl_->mutex);
-      if (j->remaining.load(std::memory_order_acquire) == 0) break;
-      other = impl_->claimable_ws_locked();
-      if (!other) {
-        impl_->done_cv.wait(lock, [&] {
-          return j->remaining.load(std::memory_order_acquire) == 0 ||
-                 impl_->claimable_ws_locked() != nullptr;
-        });
-        if (j->remaining.load(std::memory_order_acquire) == 0) break;
-        other = impl_->claimable_ws_locked();
-      }
-    }
-    if (other) impl_->run_ws(*other);
-  }
-  {
-    const std::lock_guard<std::mutex> lock(impl_->mutex);
-    auto& jobs = impl_->ws_jobs;
-    for (auto it = jobs.begin(); it != jobs.end(); ++it) {
-      if (it->get() == j.get()) {
-        jobs.erase(it);
-        break;
-      }
-    }
-  }
-  if (j->error) std::rethrow_exception(j->error);
-}
-
-std::uint64_t ThreadPool::steal_count() const noexcept {
-  return impl_->steals.load(std::memory_order_relaxed);
-}
-
-void ThreadPool::reset_steal_count() noexcept {
-  impl_->steals.store(0, std::memory_order_relaxed);
 }
 
 ThreadPool& ThreadPool::global() {

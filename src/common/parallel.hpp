@@ -8,29 +8,17 @@
 //    reductions combine per-chunk results in chunk order. A computation
 //    built on these primitives is bit-identical for PTRNG_THREADS=1 and
 //    PTRNG_THREADS=64.
-//  * No nesting IN DETERMINISTIC MODE. A task that itself calls
-//    parallel_for runs its inner loop serially on the calling worker;
-//    only leaf algorithms may fan out, so the deterministic path stays
-//    queue-simple.
+//  * No nesting. A task that itself calls parallel_for runs its inner
+//    loop serially on the calling worker; only the outermost loop fans
+//    out, so the pool holds at most one job and stays queue-simple.
 //  * The calling thread participates: a pool of size 1 executes
 //    everything inline with zero synchronization overhead.
 //
-// Work-stealing mode (parallel_for_ws, PR 10): the campaign layer runs
-// thousands of wildly uneven shards (attacked corners drive health
-// engines to alarm; healthy corners do not), where the deterministic
-// mode's rules cost real wall-clock — a submitter blocked on its own
-// job cannot help anyone else, and a nested fan-out degrades to a
-// serial loop. parallel_for_ws instead registers its chunk set in a
-// pool-wide live-job list: every worker AND every blocked submitter
-// executes chunks from ANY live job (chunks submitted by another thread
-// are "stolen" — steal_count() observes this for tests), and a ws task
-// that calls parallel_for_ws again registers a child job whose chunks
-// the whole pool helps drain (nested fanout). Chunk boundaries still
-// depend only on (range, grain), so a body writing to per-index slots
-// produces bit-identical RESULTS at any width — only the execution
-// order is dynamic. Callers that need an order-sensitive reduction must
-// fold per-chunk results in index order themselves (the campaign
-// layer's ordered folder does exactly that).
+// Load balancing: chunks are claimed one at a time from a shared atomic
+// index, so with grain 1 a fast lane simply claims the next index while
+// a slow one is still busy. Uneven work (the campaign's shards) balances
+// dynamically; only the execution order varies, and a body that writes
+// per-index slots gets identical results at any width.
 //
 // Thread count resolution: PTRNG_THREADS environment variable if set to
 // a positive integer, else std::thread::hardware_concurrency(). The
@@ -94,28 +82,6 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 
-  /// Work-stealing mode: same chunking rule as parallel_for (boundaries
-  /// from (range, grain) alone), but chunks go into the pool-wide
-  /// live-job list where any worker or blocked submitter may execute
-  /// them, and nested calls from inside a ws task fan out as child jobs
-  /// instead of running inline. Blocks until every chunk of THIS job
-  /// finished (helping other live jobs while it waits); rethrows the
-  /// first exception a chunk threw. Execution order is nondeterministic;
-  /// results are not, provided the body writes only to per-index state.
-  /// Calls from inside a DETERMINISTIC pool task still run inline (the
-  /// deterministic mode's no-nesting contract stays intact).
-  void parallel_for_ws(
-      std::size_t begin, std::size_t end, std::size_t grain,
-      const std::function<void(std::size_t, std::size_t)>& body);
-
-  /// Chunks executed by a thread other than their job's submitter since
-  /// construction (or the last reset_steal_count()). Monotonic,
-  /// approximate only in its timing — each steal is counted exactly
-  /// once. Exposed so tests can assert stealing actually happens on
-  /// skewed workloads.
-  [[nodiscard]] std::uint64_t steal_count() const noexcept;
-  void reset_steal_count() noexcept;
-
   /// The process-wide pool every leaf algorithm shares. Created on first
   /// use with configured_thread_count() threads.
   static ThreadPool& global();
@@ -130,13 +96,6 @@ inline void parallel_for(
     std::size_t begin, std::size_t end, std::size_t grain,
     const std::function<void(std::size_t, std::size_t)>& body) {
   ThreadPool::global().parallel_for(begin, end, grain, body);
-}
-
-/// parallel_for_ws on the global pool.
-inline void parallel_for_ws(
-    std::size_t begin, std::size_t end, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& body) {
-  ThreadPool::global().parallel_for_ws(begin, end, grain, body);
 }
 
 /// Deterministic map-reduce on `pool`: map(chunk_begin, chunk_end) -> T

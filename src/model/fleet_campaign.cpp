@@ -412,22 +412,21 @@ CampaignReport run_campaign(const CampaignConfig& config) {
       n = std::min<std::uint64_t>(n, config.max_shards - folded_this_run);
     const std::uint64_t base = state.folded;
     results.assign(static_cast<std::size_t>(n), ShardResult{});
-    // One shard per task, grain 1: shard costs are uneven (a modulated
+    // One shard per claim, grain 1: shard costs are uneven (a modulated
     // attacked eRO shard costs about 1.5x an unattacked one, see
-    // bench_fleet_campaign's bm_ero_shard rows). Results land in fixed
-    // slots, so the fold below never sees completion order.
-    const auto body = [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const std::uint64_t s = base + i;
-        results[i] = run_shard(grid[static_cast<std::size_t>(
-                                   s / config.seeds)],
-                               chunk_seed(config.seed, s), config);
-      }
-    };
-    if (config.use_work_stealing)
-      parallel_for_ws(0, static_cast<std::size_t>(n), 1, body);
-    else
-      parallel_for(0, static_cast<std::size_t>(n), 1, body);
+    // bench_fleet_campaign's bm_ero_shard rows), and a free lane takes
+    // the next shard at once. A shard's own parallel_for (multi-ring
+    // rings, cell-array cells) runs inline on its lane. Results land in
+    // fixed slots, so the fold below never sees completion order.
+    parallel_for(0, static_cast<std::size_t>(n), 1,
+                 [&](std::size_t b, std::size_t e) {
+                   for (std::size_t i = b; i < e; ++i) {
+                     const std::uint64_t s = base + i;
+                     results[i] = run_shard(
+                         grid[static_cast<std::size_t>(s / config.seeds)],
+                         chunk_seed(config.seed, s), config);
+                   }
+                 });
     // Order-invariant fold: shard index order, independent of which
     // worker finished first — campaign state is a pure function of
     // (config, folded prefix), the checkpoint soundness invariant.

@@ -13,10 +13,11 @@
 //  * each corner is sampled by `seeds` independent DEVICES (shards);
 //    shard s simulates one device seeded from chunk_seed(seed, s) —
 //    decorrelated streams, bit-identical for any thread count;
-//  * shards fan out on the work-stealing scheduler (parallel_for_ws,
-//    grain 1): attacked devices cost ~10x a healthy device (the attack
-//    modulation hook forces the oscillator onto its per-period stepping
-//    path), so dynamic scheduling is what keeps the fleet busy;
+//  * shards fan out on the pool's one claim loop (parallel_for, grain
+//    1): each lane claims the next shard as soon as it is free, so
+//    uneven shards (a modulated attacked eRO shard costs about 1.5x an
+//    unattacked one; generator families differ more) balance
+//    dynamically;
 //  * aggregation is STREAMING and ORDER-INVARIANT: per-corner
 //    accumulators (RunningStats moments + pass/alarm counters) are
 //    folded in SHARD INDEX ORDER regardless of completion order, so the
@@ -84,10 +85,6 @@ struct CampaignConfig {
   /// return with complete=false) — the programmatic stand-in for
   /// kill-and-resume, and what the interruption tests drive.
   std::size_t max_shards = 0;  ///< 0 = unlimited
-  /// Use the work-stealing scheduler (parallel_for_ws); false falls
-  /// back to the fixed-chunk deterministic parallel_for. Both produce
-  /// identical reports — this knob exists for the scheduler bench.
-  bool use_work_stealing = true;
   /// Optional after-each-batch hook (CLI progress): (folded, total).
   std::function<void(std::uint64_t, std::uint64_t)> progress;
 };
@@ -203,9 +200,9 @@ void write_checkpoint(const std::string& path,
     const std::string& path, const CampaignConfig& config);
 
 /// Runs (or resumes) the campaign: grid expansion, batched shard
-/// fan-out on the work-stealing pool, in-index-order folding, periodic
+/// fan-out on the thread pool, in-index-order folding, periodic
 /// checkpointing. The report depends only on (config, shards folded) —
-/// never on thread count, scheduler choice, or interruption history.
+/// never on thread count, completion order, or interruption history.
 [[nodiscard]] CampaignReport run_campaign(const CampaignConfig& config);
 
 }  // namespace ptrng::model

@@ -218,7 +218,7 @@ FilterBankFlicker::FilterBankFlicker(const Config& config)
   // stationary distribution drawn from its own stream.
   gauss_.reserve(rho_.size());
   state_.resize(rho_.size());
-  const auto gauss_method = resolved_sampler(config).gauss_method;
+  const auto gauss_method = config.sampler.gauss_method;
   for (std::size_t k = 0; k < rho_.size(); ++k) {
     gauss_.emplace_back(chunk_seed(config.seed, k), gauss_method);
     state_[k] = gauss_[k](0.0, sigma_[k]);
@@ -478,13 +478,6 @@ FilterBankFlicker::Config flicker_band_config(double amplitude, double fs,
   cfg.seed = seed;
   cfg.sampler = sampler;
   return cfg;
-}
-
-FilterBankFlicker::Config flicker_band_config(
-    double amplitude, double fs, double f_min, std::uint64_t seed,
-    unsigned stages_per_decade, GaussianSampler::Method gauss_method) {
-  return flicker_band_config(amplitude, fs, f_min, seed, stages_per_decade,
-                             SamplerPolicy{gauss_method});
 }
 
 }  // namespace ptrng::noise

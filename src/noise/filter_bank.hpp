@@ -24,7 +24,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -37,10 +36,6 @@ namespace ptrng::noise {
 /// [f_min, f_max].
 class FilterBankFlicker final : public NoiseSource {
  public:
-  // Suppression covers the struct definition only (GCC attributes the
-  // implicit ctors' NSDMI use of the deprecated alias to this line);
-  // writes to the alias at callsites still warn.
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
   struct Config {
     double amplitude = 1.0;      ///< target two-sided PSD: amplitude / f
     double fs = 1.0;             ///< sample rate [Hz]
@@ -51,12 +46,7 @@ class FilterBankFlicker final : public NoiseSource {
     /// Sampler policy for every per-stage stream (§5 "Sampler policy");
     /// Polar reproduces the pre-PR-5 realized streams bit-for-bit.
     SamplerPolicy sampler{};
-    /// Pre-PR-7 alias of sampler.gauss_method; wins over `sampler` when
-    /// explicitly set (resolved_sampler).
-    [[deprecated("set sampler.gauss_method (noise/sampler_policy.hpp)")]]
-    std::optional<GaussianSampler::Method> gauss_method{};
   };
-  PTRNG_SUPPRESS_DEPRECATED_END
 
   explicit FilterBankFlicker(const Config& config);
 
@@ -189,11 +179,5 @@ class FilterBankFlicker final : public NoiseSource {
 [[nodiscard]] FilterBankFlicker::Config flicker_band_config(
     double amplitude, double fs, double f_min, std::uint64_t seed,
     unsigned stages_per_decade = 3, SamplerPolicy sampler = {});
-
-/// Pre-PR-7 overload; identical streams for the same gauss_method.
-[[deprecated("pass a noise::SamplerPolicy")]] [[nodiscard]]
-FilterBankFlicker::Config flicker_band_config(
-    double amplitude, double fs, double f_min, std::uint64_t seed,
-    unsigned stages_per_decade, GaussianSampler::Method gauss_method);
 
 }  // namespace ptrng::noise

@@ -16,7 +16,7 @@ KasdinFlicker::KasdinFlicker(const Config& config)
       sigma_w_(config.sigma_w),
       fs_(config.fs),
       block_(config.block),
-      gauss_(config.seed, resolved_sampler(config).gauss_method) {
+      gauss_(config.seed, config.sampler.gauss_method) {
   PTRNG_EXPECTS(alpha_ > 0.0 && alpha_ <= 2.0);
   PTRNG_EXPECTS(sigma_w_ >= 0.0);
   PTRNG_EXPECTS(fs_ > 0.0);

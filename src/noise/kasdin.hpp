@@ -11,7 +11,6 @@
 
 #include <complex>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -23,9 +22,6 @@ namespace ptrng::noise {
 /// Streaming 1/f^alpha generator (0 < alpha <= 2).
 class KasdinFlicker final : public NoiseSource {
  public:
-  // Suppression covers the struct definition only (implicit-ctor NSDMI
-  // use of the deprecated alias); callsite writes still warn.
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
   struct Config {
     double alpha = 1.0;        ///< spectral exponent of 1/f^alpha
     double sigma_w = 1.0;      ///< driving white-noise stddev
@@ -36,12 +32,7 @@ class KasdinFlicker final : public NoiseSource {
     /// Sampler policy for the driving white noise (§5 "Sampler
     /// policy"); Polar reproduces the pre-PR-5 streams bit-for-bit.
     SamplerPolicy sampler{};
-    /// Pre-PR-7 alias of sampler.gauss_method; wins over `sampler` when
-    /// explicitly set (resolved_sampler).
-    [[deprecated("set sampler.gauss_method (noise/sampler_policy.hpp)")]]
-    std::optional<GaussianSampler::Method> gauss_method{};
   };
-  PTRNG_SUPPRESS_DEPRECATED_END
 
   explicit KasdinFlicker(const Config& config);
 

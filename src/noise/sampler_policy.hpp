@@ -1,15 +1,9 @@
-// One sampler-policy knob for the whole noise/oscillator layer (PR 7
-// API redesign). Before this header, the Gaussian-engine choice
-// (docs/ARCHITECTURE.md §5 "Sampler policy") was a loose
-// `gauss_method` field threaded through five Config structs and four
-// constructor signatures; every new sampler knob would have multiplied
-// the same way. SamplerPolicy is that knob as ONE value type passed by
-// value; the old fields/parameters remain as [[deprecated]] aliases for
-// one release (resolved_sampler() folds a legacy override into the
-// policy, so old callsites keep realizing the same streams).
+// One sampler-policy knob for the whole noise/oscillator layer. The
+// Gaussian-engine choice (docs/ARCHITECTURE.md §5 "Sampler policy") is
+// ONE value type passed by value through every generator and oscillator
+// config, so a new sampler knob extends this struct instead of
+// multiplying across Config structs and constructor signatures.
 #pragma once
-
-#include <optional>
 
 #include "common/rng.hpp"
 
@@ -23,28 +17,5 @@ struct SamplerPolicy {
   /// streams, bit-for-bit — see §5 "Sampler policy").
   GaussianSampler::Method gauss_method = GaussianSampler::Method::Ziggurat;
 };
-
-#if defined(__GNUC__) || defined(__clang__)
-#define PTRNG_SUPPRESS_DEPRECATED_BEGIN \
-  _Pragma("GCC diagnostic push")        \
-  _Pragma("GCC diagnostic ignored \"-Wdeprecated-declarations\"")
-#define PTRNG_SUPPRESS_DEPRECATED_END _Pragma("GCC diagnostic pop")
-#else
-#define PTRNG_SUPPRESS_DEPRECATED_BEGIN
-#define PTRNG_SUPPRESS_DEPRECATED_END
-#endif
-
-/// Effective policy of a Config: the new `sampler` field, unless the
-/// deprecated `gauss_method` alias was explicitly set (legacy callsites
-/// win, so their realized streams cannot change under them during the
-/// deprecation window).
-template <typename ConfigT>
-[[nodiscard]] SamplerPolicy resolved_sampler(const ConfigT& config) {
-  SamplerPolicy policy = config.sampler;
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  if (config.gauss_method.has_value()) policy.gauss_method = *config.gauss_method;
-  PTRNG_SUPPRESS_DEPRECATED_END
-  return policy;
-}
 
 }  // namespace ptrng::noise

@@ -12,13 +12,6 @@ namespace ptrng::noise {
 
 std::vector<double> synthesize_from_psd(
     const std::function<double(double)>& psd_two_sided, double fs,
-    std::size_t n, std::uint64_t seed, GaussianSampler::Method method) {
-  return synthesize_from_psd(psd_two_sided, fs, n, seed,
-                             SamplerPolicy{method});
-}
-
-std::vector<double> synthesize_from_psd(
-    const std::function<double(double)>& psd_two_sided, double fs,
     std::size_t n, std::uint64_t seed, SamplerPolicy sampler) {
   PTRNG_EXPECTS(fs > 0.0);
   PTRNG_EXPECTS(n >= 8);

@@ -22,10 +22,4 @@ namespace ptrng::noise {
     const std::function<double(double)>& psd_two_sided, double fs,
     std::size_t n, std::uint64_t seed, SamplerPolicy sampler = {});
 
-/// Pre-PR-7 overload; identical realizations for the same gauss_method.
-[[deprecated("pass a noise::SamplerPolicy")]] [[nodiscard]]
-std::vector<double> synthesize_from_psd(
-    const std::function<double(double)>& psd_two_sided, double fs,
-    std::size_t n, std::uint64_t seed, GaussianSampler::Method method);
-
 }  // namespace ptrng::noise

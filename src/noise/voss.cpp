@@ -17,10 +17,6 @@ VossMcCartney::VossMcCartney(std::size_t rows, double fs, std::uint64_t seed,
   }
 }
 
-VossMcCartney::VossMcCartney(std::size_t rows, double fs, std::uint64_t seed,
-                             GaussianSampler::Method method)
-    : VossMcCartney(rows, fs, seed, SamplerPolicy{method}) {}
-
 double VossMcCartney::next() {
   ++counter_;
   const auto tz = static_cast<std::size_t>(std::countr_zero(counter_));

@@ -21,11 +21,6 @@ class VossMcCartney final : public NoiseSource {
   VossMcCartney(std::size_t rows, double fs, std::uint64_t seed,
                 SamplerPolicy sampler = {});
 
-  /// Pre-PR-7 overload; identical streams for the same gauss_method.
-  [[deprecated("pass a noise::SamplerPolicy")]]
-  VossMcCartney(std::size_t rows, double fs, std::uint64_t seed,
-                GaussianSampler::Method method);
-
   double next() override;
   [[nodiscard]] double sample_rate() const override { return fs_; }
   [[nodiscard]] std::size_t rows() const noexcept { return values_.size(); }

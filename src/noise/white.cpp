@@ -12,9 +12,4 @@ WhiteGaussianNoise::WhiteGaussianNoise(double sigma, double fs,
   PTRNG_EXPECTS(fs > 0.0);
 }
 
-WhiteGaussianNoise::WhiteGaussianNoise(double sigma, double fs,
-                                       std::uint64_t seed,
-                                       GaussianSampler::Method method)
-    : WhiteGaussianNoise(sigma, fs, seed, SamplerPolicy{method}) {}
-
 }  // namespace ptrng::noise

@@ -19,11 +19,6 @@ class WhiteGaussianNoise final : public NoiseSource {
   WhiteGaussianNoise(double sigma, double fs, std::uint64_t seed,
                      SamplerPolicy sampler = {});
 
-  /// Pre-PR-7 overload; identical streams for the same gauss_method.
-  [[deprecated("pass a noise::SamplerPolicy")]]
-  WhiteGaussianNoise(double sigma, double fs, std::uint64_t seed,
-                     GaussianSampler::Method method);
-
   double next() override { return sigma_ * gauss_(); }
 
   /// Batched fast path: same stream as next(), minus the per-sample

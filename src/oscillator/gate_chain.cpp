@@ -7,8 +7,7 @@
 namespace ptrng::oscillator {
 
 GateChainOscillator::GateChainOscillator(const GateChainConfig& config)
-    : config_(config),
-      gauss_(config.seed, noise::resolved_sampler(config).gauss_method) {
+    : config_(config), gauss_(config.seed, config.sampler.gauss_method) {
   PTRNG_EXPECTS(config.n_stages >= 3);
   PTRNG_EXPECTS(config.n_stages % 2 == 1);
   PTRNG_EXPECTS(config.stage_delay > 0.0);
@@ -25,8 +24,7 @@ GateChainOscillator::GateChainOscillator(const GateChainConfig& config)
     for (std::size_t k = 0; k < config.n_stages; ++k) {
       stage_flicker_.emplace_back(noise::flicker_band_config(
           config.flicker_amplitude, fs, config.flicker_floor_hz,
-          config.seed + 0x1111ULL * (k + 1), 3,
-          noise::resolved_sampler(config)));
+          config.seed + 0x1111ULL * (k + 1), 3, config.sampler));
     }
   }
 }
@@ -145,7 +143,7 @@ RingOscillatorConfig GateChainOscillator::equivalent_phase_config() const {
   // period grid... kept 0 here; cross-validation uses measured fits.
   cfg.b_fl = 0.0;
   cfg.seed = config_.seed;
-  cfg.sampler = noise::resolved_sampler(config_);
+  cfg.sampler = config_.sampler;
   return cfg;
 }
 

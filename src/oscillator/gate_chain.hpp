@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -19,9 +18,6 @@
 namespace ptrng::oscillator {
 
 /// Per-stage delay model configuration.
-/// (Suppression covers the struct definition only — implicit-ctor NSDMI
-/// use of the deprecated alias; callsite writes still warn.)
-PTRNG_SUPPRESS_DEPRECATED_BEGIN
 struct GateChainConfig {
   std::size_t n_stages = 5;     ///< inverters in the ring (odd, >= 3)
   double stage_delay = 970e-12 / 10.0;  ///< nominal per-stage delay [s]
@@ -34,10 +30,6 @@ struct GateChainConfig {
   /// Sampler policy for the shared thermal stream and every stage's
   /// flicker bank (docs/ARCHITECTURE.md §5 "Sampler policy").
   noise::SamplerPolicy sampler{};
-  /// Pre-PR-7 alias of sampler.gauss_method; wins over `sampler` when
-  /// explicitly set (noise::resolved_sampler).
-  [[deprecated("set sampler.gauss_method (noise/sampler_policy.hpp)")]]
-  std::optional<GaussianSampler::Method> gauss_method{};
 };
 
 /// Gate-level ring oscillator producing periods as sums of noisy stage

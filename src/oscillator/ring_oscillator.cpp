@@ -91,8 +91,7 @@ double time_at_count(const SinusoidalModulation& mod, double period,
 }  // namespace
 
 RingOscillator::RingOscillator(const RingOscillatorConfig& config)
-    : config_(config),
-      gauss_(config.seed, noise::resolved_sampler(config).gauss_method) {
+    : config_(config), gauss_(config.seed, config.sampler.gauss_method) {
   PTRNG_EXPECTS(config.f0 > 0.0);
   PTRNG_EXPECTS(config.b_th >= 0.0);
   PTRNG_EXPECTS(config.b_fl >= 0.0);
@@ -111,7 +110,7 @@ RingOscillator::RingOscillator(const RingOscillatorConfig& config)
         config.b_fl / (config.f0 * config.f0 * config.f0 * config.f0),
         config.f0, config.f0 * config.flicker_floor_ratio,
         config.seed ^ 0xf11c4e5eedULL, config.flicker_stages_per_decade,
-        noise::resolved_sampler(config)));
+        config.sampler));
   }
 }
 

@@ -134,9 +134,6 @@ struct SinusoidalModulation {
 };
 
 /// Configuration of a simulated ring oscillator.
-/// (Suppression covers the struct definition only — implicit-ctor NSDMI
-/// use of the deprecated alias; callsite writes still warn.)
-PTRNG_SUPPRESS_DEPRECATED_BEGIN
 struct RingOscillatorConfig {
   double f0 = 103e6;      ///< nominal frequency [Hz] (paper: 103 MHz)
   double b_th = 138.02;   ///< two-sided thermal phase coefficient [Hz]
@@ -154,17 +151,12 @@ struct RingOscillatorConfig {
   /// (docs/ARCHITECTURE.md §5 "Sampler policy"); Polar reproduces the
   /// pre-PR-5 realized period streams bit-for-bit.
   noise::SamplerPolicy sampler{};
-  /// Pre-PR-7 alias of sampler.gauss_method; wins over `sampler` when
-  /// explicitly set (noise::resolved_sampler).
-  [[deprecated("set sampler.gauss_method (noise/sampler_policy.hpp)")]]
-  std::optional<GaussianSampler::Method> gauss_method{};
 
   /// The analytic phase PSD this configuration realizes.
   [[nodiscard]] phase_noise::PhasePsd phase_psd() const {
     return {b_th, b_fl, f0};
   }
 };
-PTRNG_SUPPRESS_DEPRECATED_END
 
 /// Streaming phase-domain ring oscillator.
 class RingOscillator {

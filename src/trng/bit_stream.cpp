@@ -101,12 +101,6 @@ Pipeline& Pipeline::add_transform(std::unique_ptr<BitTransform> transform) {
   return *this;
 }
 
-Pipeline& Pipeline::set_monitor(ThermalNoiseMonitor* monitor) {
-  monitor_ = monitor;
-  tap_window_fill_ = 0;
-  return *this;
-}
-
 Pipeline& Pipeline::attach_tap(TapStage& tap) {
   if (std::find(taps_.begin(), taps_.end(), &tap) == taps_.end())
     taps_.push_back(&tap);
@@ -120,31 +114,9 @@ Pipeline& Pipeline::detach_tap(TapStage& tap) {
   return *this;
 }
 
-Pipeline& Pipeline::set_health_engine(HealthEngine* engine) {
-  if (engine == nullptr) {
-    if (health_ != nullptr) detach_tap(*health_);
-    return *this;
-  }
-  return attach_tap(*engine);
-}
-
 void Pipeline::pump() {
   source_.generate_into(raw_block_);
   raw_bits_ += raw_block_.size();
-
-  if (monitor_ != nullptr) {
-    const std::size_t window = monitor_->config().n_cycles;
-    for (const std::uint8_t b : raw_block_) {
-      tap_cumulative_ones_ += (b & 1u);
-      if (++tap_window_fill_ == window) {
-        tap_window_fill_ = 0;
-        OnlineTestDecision decision;
-        if (monitor_->push_count(tap_cumulative_ones_, &decision) &&
-            decision.alarm)
-          ++alarms_;
-      }
-    }
-  }
 
   for (TapStage* tap : taps_) tap->observe(raw_block_);
 

@@ -32,8 +32,6 @@
 #include <span>
 #include <vector>
 
-#include "trng/online_test.hpp"
-
 namespace ptrng::trng {
 
 class HealthEngine;  // continuous_health.hpp
@@ -85,13 +83,6 @@ class BitSource {
   /// Bulk BIT generation (allocating form of generate_into) — the raw
   /// domain for entropy estimators and transform equivalence checks.
   [[nodiscard]] std::vector<std::uint8_t> generate_bits(std::size_t n_bits);
-
-  /// Pre-PR-7 name of generate_bits, kept byte-identical.
-  [[deprecated("byte-first API: use generate_bytes/fill_bytes, or "
-               "generate_bits for raw-bit analysis")]] [[nodiscard]]
-  std::vector<std::uint8_t> generate(std::size_t n_bits) {
-    return generate_bits(n_bits);
-  }
 };
 
 /// A streaming, stateful re-expression of a post-processing block: each
@@ -116,10 +107,9 @@ class BitTransform {
 
 /// The unified output-path shape (PR 7 API redesign): anything with the
 /// streaming push/reset/name contract of BitTransform composes into the
-/// output path — algebraic post-processing, the health tap
-/// (HealthTapTransform), and the conditioner's streaming stage
-/// (ConditioningTransform in trng/conditioning.hpp) all satisfy it, so
-/// none of them is a special case. Static interface counterpart of the
+/// output path — algebraic post-processing and the conditioner's
+/// streaming stage (ConditioningTransform in trng/conditioning.hpp) both
+/// satisfy it, so neither is a special case. Static interface counterpart of the
 /// runtime BitTransform base; conditioning.cpp static_asserts the
 /// non-template stages against it.
 template <typename T>
@@ -132,10 +122,11 @@ concept OutputStage =
     };
 
 /// A passive observer of the pipeline's RAW bit stream (before any
-/// transform): the continuous-health engine, the raw-sample recorder and
-/// the conditioner's entropy-accounting probe all attach through this
-/// one interface (Pipeline::attach_tap). observe() must not modify the
-/// bits and is called once per pumped block, in attachment order.
+/// transform): the thermal-noise online test, the continuous-health
+/// engine, the raw-sample recorder and the conditioner's entropy-
+/// accounting probe all attach through this one interface
+/// (Pipeline::attach_tap). observe() must not modify the bits and is
+/// called once per pumped block, in attachment order.
 class TapStage {
  public:
   virtual ~TapStage() = default;
@@ -235,19 +226,20 @@ class ParityFilterTransform final : public XorDecimateTransform {
   }
 };
 
-/// Composes one BitSource with N BitTransforms, an optional
-/// ThermalNoiseMonitor tap and any number of TapStages into a BitSource
-/// again (pipelines nest).
+/// Composes one BitSource with N BitTransforms and any number of
+/// TapStages into a BitSource again (pipelines nest).
 ///
 /// Raw bits are pulled from the source in `block_bits` batches (the
-/// batched fast path), observed by the monitor and the attached taps
-/// (in attachment order), then run through the transforms in insertion
-/// order. Taps watch the RAW stream the way the paper's embedded test
-/// watches the counter: a variance collapse or bias lock on the source
-/// trips them regardless of what post-processing hides downstream.
+/// batched fast path), observed by the attached taps (in attachment
+/// order), then run through the transforms in insertion order. Taps
+/// watch the RAW stream the way the paper's embedded test watches the
+/// counter: a variance collapse or bias lock on the source trips them
+/// regardless of what post-processing hides downstream. To tap
+/// mid-chain, nest pipelines: an outer pipeline's taps observe the
+/// inner pipeline's output as their raw stream.
 ///
-/// The pipeline does not own the source, monitor or taps (they usually
-/// outlive it in the enclosing scenario); it owns its transforms.
+/// The pipeline does not own the source or taps (they usually outlive
+/// it in the enclosing scenario); it owns its transforms.
 ///
 /// A transform chain that stops emitting (e.g. a von Neumann corrector
 /// fed by a locked, constant source) makes next_bit()/generate_into()
@@ -260,9 +252,6 @@ class Pipeline final : public BitSource {
   /// Appends a post-processing stage; returns *this for chaining.
   Pipeline& add_transform(std::unique_ptr<BitTransform> transform);
 
-  /// Installs (or clears, with nullptr) the raw-stream online-test tap.
-  Pipeline& set_monitor(ThermalNoiseMonitor* monitor);
-
   /// Attaches a raw-stream observer; observe() runs once per pumped
   /// block, in attachment order, BEFORE the transforms. Attaching the
   /// same tap twice is a no-op.
@@ -274,12 +263,6 @@ class Pipeline final : public BitSource {
   [[nodiscard]] std::size_t tap_count() const noexcept {
     return taps_.size();
   }
-
-  /// Pre-PR-7 spelling of attach_tap for the continuous-health engine
-  /// (HealthEngine is a TapStage). nullptr detaches the current engine.
-  /// Event sequences are identical to attach_tap(*engine).
-  [[deprecated("use attach_tap(engine) / detach_tap(engine)")]]
-  Pipeline& set_health_engine(HealthEngine* engine);
 
   /// The most recently attached continuous-health engine, or nullptr.
   [[nodiscard]] HealthEngine* health_engine() const noexcept {
@@ -298,8 +281,6 @@ class Pipeline final : public BitSource {
 
   /// Raw bits pulled from the source so far.
   [[nodiscard]] std::size_t raw_bits() const noexcept { return raw_bits_; }
-  /// Online-test alarms observed by the monitor tap so far.
-  [[nodiscard]] std::size_t alarms() const noexcept { return alarms_; }
   [[nodiscard]] std::size_t transform_count() const noexcept {
     return transforms_.size();
   }
@@ -310,7 +291,6 @@ class Pipeline final : public BitSource {
   BitSource& source_;
   std::size_t block_bits_;
   std::vector<std::unique_ptr<BitTransform>> transforms_;
-  ThermalNoiseMonitor* monitor_ = nullptr;
   std::vector<TapStage*> taps_;
   HealthEngine* health_ = nullptr;  ///< accessor convenience only
 
@@ -319,11 +299,6 @@ class Pipeline final : public BitSource {
   std::vector<std::uint8_t> ready_;  ///< transformed bits awaiting delivery
   std::size_t ready_pos_ = 0;
   std::size_t raw_bits_ = 0;
-  std::size_t alarms_ = 0;
-  // Monitor-tap window state (cumulative ones count emulates the Fig. 6
-  // counter's monotone count sequence).
-  std::size_t tap_window_fill_ = 0;
-  std::int64_t tap_cumulative_ones_ = 0;
 };
 
 }  // namespace ptrng::trng

@@ -7,11 +7,10 @@
 
 namespace ptrng::trng {
 
-// The PR-7 output-path contract: post-processing, health taps and the
-// conditioner all share the streaming push/reset/name shape.
+// The PR-7 output-path contract: post-processing and the conditioner
+// share the streaming push/reset/name shape.
 static_assert(OutputStage<XorDecimateTransform>);
 static_assert(OutputStage<VonNeumannTransform>);
-static_assert(OutputStage<HealthTapTransform>);
 static_assert(OutputStage<ConditioningTransform>);
 
 // --- Hash_df --------------------------------------------------------------

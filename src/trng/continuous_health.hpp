@@ -249,29 +249,6 @@ class HealthEngine : public TapStage {
   std::size_t healthy_run_bits_ = 0;   ///< bits since the last alarm
 };
 
-/// Strictly pass-through BitTransform wrapper: feeds the engine and
-/// forwards the input unchanged, so a health tap can sit at ANY stage
-/// of a transform chain (the Pipeline raw tap is the common placement).
-/// reset() is a no-op: the tap carries no stream state of its own, and
-/// engine health state deliberately survives pipeline resets.
-class HealthTapTransform final : public BitTransform {
- public:
-  explicit HealthTapTransform(HealthEngine& engine) : engine_(engine) {}
-
-  void push(std::span<const std::uint8_t> in,
-            std::vector<std::uint8_t>& out) override {
-    engine_.process(in);
-    out.insert(out.end(), in.begin(), in.end());
-  }
-  void reset() override {}
-  [[nodiscard]] const char* name() const noexcept override {
-    return "health_tap";
-  }
-
- private:
-  HealthEngine& engine_;
-};
-
 /// Detection-latency measurement: bits consumed until the engine's
 /// first alarm — the results axis the paper never had (it measured
 /// decisions/blocks). Deterministic in `block_bits` because alarms fire

@@ -42,7 +42,19 @@ bool ThermalNoiseMonitor::push_count(std::int64_t q,
       s2 < decision->lower_bound || s2 > decision->upper_bound;
   sn_buffer_.clear();
   ++decisions_;
+  if (decision->alarm) ++alarms_;
   return true;
+}
+
+void ThermalNoiseMonitor::observe(std::span<const std::uint8_t> raw_bits) {
+  OnlineTestDecision decision;
+  for (const std::uint8_t b : raw_bits) {
+    cumulative_ones_ += (b & 1u);
+    if (++window_fill_ == config_.n_cycles) {
+      window_fill_ = 0;
+      (void)push_count(cumulative_ones_, &decision);
+    }
+  }
 }
 
 }  // namespace ptrng::trng

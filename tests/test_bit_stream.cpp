@@ -14,7 +14,6 @@
 #include "common/contracts.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "noise/sampler_policy.hpp"
 #include "trng/bit_stream.hpp"
 #include "trng/ero_trng.hpp"
 #include "trng/multi_ring.hpp"
@@ -305,13 +304,13 @@ TEST(Pipeline, MonitorTapWatchesRawStream) {
 
   RngBitSource src(45);
   Pipeline pipe(src, 1024);
-  pipe.add_transform(std::make_unique<XorDecimateTransform>(2));
-  pipe.set_monitor(&healthy);
+  pipe.add_transform(std::make_unique<XorDecimateTransform>(2))
+      .attach_tap(healthy);
   const auto out = pipe.generate_bits(100'000);
   EXPECT_EQ(out.size(), 100'000u);
   EXPECT_GE(pipe.raw_bits(), 200'000u);
   EXPECT_GT(healthy.decisions(), 15u);
-  EXPECT_EQ(pipe.alarms(), 0u);
+  EXPECT_EQ(healthy.alarms(), 0u);
 
   // A locked (constant) source collapses the window variance to zero:
   // every completed decision must alarm, even though the pipeline's
@@ -322,11 +321,45 @@ TEST(Pipeline, MonitorTapWatchesRawStream) {
   } locked;
   ThermalNoiseMonitor watchdog(cfg, /*f0=*/1.0);
   Pipeline bad(locked, 1024);
-  bad.add_transform(std::make_unique<XorDecimateTransform>(2));
-  bad.set_monitor(&watchdog);
+  bad.add_transform(std::make_unique<XorDecimateTransform>(2))
+      .attach_tap(watchdog);
   (void)bad.generate_bits(50'000);
   EXPECT_GT(watchdog.decisions(), 0u);
-  EXPECT_EQ(bad.alarms(), watchdog.decisions());
+  EXPECT_EQ(watchdog.alarms(), watchdog.decisions());
+}
+
+TEST(Pipeline, MonitorAndRecorderSeeTheSameRawBlocks) {
+  // A monitor and a recorder attached to one pipeline observe the same
+  // raw blocks: replaying the recorded bits as counter values through
+  // push_count reproduces the tapped monitor's decisions and alarms.
+  // A reference at a quarter of the true window variance makes the
+  // decisions alarm, so the alarm counts carry information too.
+  OnlineTestConfig cfg;
+  cfg.n_cycles = 100;
+  cfg.windows_per_test = 16;
+  cfg.reference_sigma2 = 25.0 / 4.0;
+  ThermalNoiseMonitor tapped(cfg, /*f0=*/1.0);
+  RawRecorderTap recorder;
+
+  RngBitSource src(47);
+  Pipeline pipe(src, 1000);  // windows straddle block boundaries
+  pipe.add_transform(std::make_unique<VonNeumannTransform>())
+      .attach_tap(tapped)
+      .attach_tap(recorder);
+  (void)pipe.generate_bits(20'000);
+  ASSERT_EQ(recorder.bits().size(), pipe.raw_bits());
+
+  ThermalNoiseMonitor replayed(cfg, /*f0=*/1.0);
+  std::int64_t ones = 0;
+  OnlineTestDecision decision;
+  for (std::size_t i = 0; i < recorder.bits().size(); ++i) {
+    ones += recorder.bits()[i];
+    if ((i + 1) % cfg.n_cycles == 0) (void)replayed.push_count(ones, &decision);
+  }
+  EXPECT_GT(tapped.decisions(), 10u);
+  EXPECT_GT(tapped.alarms(), 0u);
+  EXPECT_EQ(tapped.decisions(), replayed.decisions());
+  EXPECT_EQ(tapped.alarms(), replayed.alarms());
 }
 
 TEST(Pipeline, RejectsBadConfig) {
@@ -435,16 +468,6 @@ TEST(ByteApi, InterleavingBytesAndBitsContinuesOneStream) {
                       head_ref);
   EXPECT_EQ(head, head_ref);
   EXPECT_TRUE(std::equal(tail.begin(), tail.end(), all.begin() + 8 * 64));
-}
-
-TEST(ByteApi, DeprecatedGenerateShimIsByteIdentical) {
-  // The legacy generate() alias must stay bit-identical to generate_bits
-  // for its one-release deprecation window.
-  RngBitSource a(51), b(51);
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  const auto legacy = a.generate(12'345);
-  PTRNG_SUPPRESS_DEPRECATED_END
-  EXPECT_EQ(legacy, b.generate_bits(12'345));
 }
 
 }  // namespace

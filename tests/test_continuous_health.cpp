@@ -20,7 +20,6 @@
 #include "attacks/injection.hpp"
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
-#include "noise/sampler_policy.hpp"
 #include "stat_tolerance.hpp"
 #include "trng/bit_stream.hpp"
 #include "trng/continuous_health.hpp"
@@ -251,16 +250,20 @@ TEST(ContinuousHealthPassThrough, RawTapDoesNotPerturbPipelineOutput) {
 }
 
 TEST(ContinuousHealthPassThrough, TapTransformIsIdentityAnywhereInChain) {
+  // Mid-chain tapping is pipeline nesting: the inner pipeline decimates,
+  // and the outer pipeline's tap observes the decimated stream as its
+  // raw stream before von Neumann runs.
   const std::size_t n = 20'000;
   std::vector<std::uint8_t> with_tap(n), without_tap(n);
 
   RngBitSource src_a(123);
   HealthEngine engine{ContinuousHealthConfig{}};
-  Pipeline tapped(src_a, 1024);
-  tapped.add_transform(std::make_unique<XorDecimateTransform>(2))
-      .add_transform(std::make_unique<HealthTapTransform>(engine))
-      .add_transform(std::make_unique<VonNeumannTransform>());
-  tapped.generate_into(with_tap);
+  Pipeline inner(src_a, 1024);
+  inner.add_transform(std::make_unique<XorDecimateTransform>(2));
+  Pipeline outer(inner, 1024);
+  outer.attach_tap(engine).add_transform(
+      std::make_unique<VonNeumannTransform>());
+  outer.generate_into(with_tap);
 
   RngBitSource src_b(123);
   Pipeline plain(src_b, 1024);
@@ -269,8 +272,10 @@ TEST(ContinuousHealthPassThrough, TapTransformIsIdentityAnywhereInChain) {
   plain.generate_into(without_tap);
 
   EXPECT_EQ(with_tap, without_tap);
-  // Mid-chain placement: the tap saw the DECIMATED stream.
-  EXPECT_EQ(engine.bits_seen(), tapped.raw_bits() / 2);
+  // Mid-chain placement: the tap saw every DECIMATED bit the outer
+  // pipeline pulled.
+  EXPECT_EQ(engine.bits_seen(), outer.raw_bits());
+  EXPECT_EQ(outer.raw_bits(), inner.raw_bits() / 2);
 }
 
 TEST(ContinuousHealthPassThrough, ChunkedPushMatchesWholeBlock) {
@@ -396,35 +401,6 @@ TEST(PipelineTaps, AttachIsIdempotentAndDetachStopsObservation) {
   EXPECT_EQ(pipe.tap_count(), 0u);
   pipe.generate_into(out);
   EXPECT_EQ(engine.bits_seen(), seen);  // no longer observing
-}
-
-TEST(PipelineTaps, DeprecatedSetHealthEngineIsAttachTap) {
-  // The legacy setter must behave exactly like attach_tap/detach_tap for
-  // its one-release deprecation window — same counters, same alarms.
-  RngBitSource src_a(0x7ab), src_b(0x7ab);
-  HealthEngine via_setter{ContinuousHealthConfig{}};
-  HealthEngine via_tap{ContinuousHealthConfig{}};
-
-  Pipeline legacy(src_a, 4096);
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  legacy.set_health_engine(&via_setter);
-  PTRNG_SUPPRESS_DEPRECATED_END
-  Pipeline modern(src_b, 4096);
-  modern.attach_tap(via_tap);
-
-  std::vector<std::uint8_t> a(30'000), b(30'000);
-  legacy.generate_into(a);
-  modern.generate_into(b);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(via_setter.bits_seen(), via_tap.bits_seen());
-  EXPECT_EQ(via_setter.alarms(), via_tap.alarms());
-  EXPECT_EQ(legacy.alarms(), modern.alarms());
-
-  // nullptr clears the attached engine, mirroring detach_tap.
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  legacy.set_health_engine(nullptr);
-  PTRNG_SUPPRESS_DEPRECATED_END
-  EXPECT_EQ(legacy.tap_count(), 0u);
 }
 
 TEST(PipelineTaps, RecorderCapStopsRecordingNotObservation) {

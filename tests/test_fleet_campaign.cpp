@@ -1,5 +1,5 @@
 // Fleet campaign engine tests: grid expansion order, shard determinism,
-// scheduler-choice invariance, checkpoint round-trip/corruption
+// pool-width invariance, checkpoint round-trip/corruption
 // handling, and the headline guarantee — a resumed campaign's report is
 // BYTE-IDENTICAL to an uninterrupted run.
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/parallel.hpp"
 #include "model/fleet_campaign.hpp"
 
 namespace {
@@ -91,12 +92,11 @@ TEST(Config, CanonicalStringSeparatesCampaigns) {
   b = a;
   b.bits_per_shard += 1;
   EXPECT_NE(canonical_config(a), canonical_config(b));
-  // Interruption / scheduling knobs deliberately do NOT key the
-  // checkpoint: they cannot change the folded stream.
+  // Interruption knobs deliberately do NOT key the checkpoint: they
+  // cannot change the folded stream.
   b = a;
   b.checkpoint_path = "somewhere";
   b.max_shards = 3;
-  b.use_work_stealing = false;
   EXPECT_EQ(canonical_config(a), canonical_config(b));
 }
 
@@ -113,14 +113,22 @@ TEST(Shard, DeterministicAcrossCalls) {
   }
 }
 
-TEST(Campaign, SchedulerChoiceDoesNotChangeTheReport) {
-  auto config = small_config();
-  config.use_work_stealing = true;
-  const auto ws = run_campaign(config);
-  config.use_work_stealing = false;
-  const auto fixed = run_campaign(config);
-  EXPECT_EQ(ws.json(), fixed.json());
-  EXPECT_EQ(ws.table(), fixed.table());
+TEST(Campaign, ReportIsIdenticalAcrossPoolWidths) {
+  // The full grid reaches the ero, multi_ring and cell_array corners, so
+  // the shards' own inner parallel_for (rings, cells) runs inline inside
+  // a campaign task at width 4. Shards land in index slots and fold in
+  // index order: the report must not see the pool width.
+  CampaignConfig config;
+  config.seeds = 1;
+  config.bits_per_shard = 2000;
+  auto& pool = ThreadPool::global();
+  pool.resize(1);
+  const auto serial = run_campaign(config);
+  pool.resize(4);
+  const auto wide = run_campaign(config);
+  pool.resize(0);
+  EXPECT_EQ(serial.json(), wide.json());
+  EXPECT_EQ(serial.table(), wide.table());
 }
 
 TEST(Campaign, LockAttackAlarmsHealthyCornerDoesNot) {

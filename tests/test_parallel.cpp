@@ -4,7 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
+#include <functional>
 #include <cstdlib>
 #include <stdexcept>
 #include <thread>
@@ -88,84 +88,31 @@ TEST(ThreadPool, NestedParallelForRunsInline) {
   EXPECT_EQ(inner_total.load(), 80);
 }
 
-// --- work-stealing mode (parallel_for_ws, PR 10) -------------------------
-
-TEST(WorkStealing, CoversEveryIndexExactlyOnce) {
+TEST(ThreadPool, ConcurrentSubmittersEachCoverTheirRange) {
+  // Two threads submit to one pool at once: submissions serialize on the
+  // pool's submit lock, and each caller's range is covered exactly once.
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  for (auto& h : hits) h = 0;
-  pool.parallel_for_ws(0, hits.size(), 7, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) ++hits[i];
-  });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(WorkStealing, ExceptionPropagatesAndPoolStaysUsable) {
-  for (std::size_t width : {1u, 4u}) {
-    ThreadPool pool(width);
-    EXPECT_THROW(
-        pool.parallel_for_ws(0, 100, 1,
-                             [&](std::size_t b, std::size_t) {
-                               if (b == 57)
-                                 throw std::runtime_error("chunk 57");
-                             }),
-        std::runtime_error);
-    // Both modes must remain usable after a failed ws job (the job must
-    // be unregistered, or every later wait would spin on a dead entry).
-    std::atomic<int> sum{0};
-    pool.parallel_for_ws(0, 16, 1, [&](std::size_t b, std::size_t e) {
-      sum += static_cast<int>(e - b);
-    });
-    pool.parallel_for(0, 16, 1, [&](std::size_t b, std::size_t e) {
-      sum += static_cast<int>(e - b);
-    });
-    EXPECT_EQ(sum.load(), 32);
-  }
-}
-
-TEST(WorkStealing, NestedFanoutExecutesEveryInnerIndex) {
-  // Unlike the deterministic mode (inline inner loop), a ws task that
-  // fans out registers a child job the whole pool helps drain. Two
-  // levels deep to exercise the help loop as an execution lane.
-  ThreadPool pool(4);
-  std::atomic<int> inner_total{0};
-  pool.parallel_for_ws(0, 8, 1, [&](std::size_t, std::size_t) {
-    pool.parallel_for_ws(0, 10, 3, [&](std::size_t b, std::size_t e) {
-      pool.parallel_for_ws(b, e, 1, [&](std::size_t bb, std::size_t ee) {
-        inner_total += static_cast<int>(ee - bb);
-      });
-    });
-  });
-  EXPECT_EQ(inner_total.load(), 80);
-}
-
-TEST(WorkStealing, InsideDeterministicTaskRunsInline) {
-  // The deterministic mode's no-nesting contract is older than ws mode;
-  // a ws call from inside a deterministic chunk must not fan out (it
-  // could deadlock against the single-job deterministic queue).
-  ThreadPool pool(4);
-  std::atomic<int> total{0};
-  pool.parallel_for(0, 4, 1, [&](std::size_t, std::size_t) {
-    pool.parallel_for_ws(0, 12, 5, [&](std::size_t b, std::size_t e) {
-      total += static_cast<int>(e - b);
-    });
-  });
-  EXPECT_EQ(total.load(), 48);
-}
-
-TEST(WorkStealing, EmptyRangeIsANoOp) {
-  ThreadPool pool(2);
-  bool called = false;
-  pool.parallel_for_ws(5, 5, 1,
-                       [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
+  std::vector<int> a(2000, 0), b(3000, 0);
+  const auto cover = [&pool](std::vector<int>& hits) {
+    for (int round = 0; round < 20; ++round)
+      pool.parallel_for(0, hits.size(), 1,
+                        [&](std::size_t lo, std::size_t hi) {
+                          for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+                        });
+  };
+  std::thread first(cover, std::ref(a));
+  std::thread second(cover, std::ref(b));
+  first.join();
+  second.join();
+  for (int h : a) EXPECT_EQ(h, 20);
+  for (int h : b) EXPECT_EQ(h, 20);
 }
 
 namespace {
 
 // Deliberately skewed per-index work: a few indices burn ~100x the rest
-// (the campaign's attacked-corner shape). Returns a value that depends
-// on every loop iteration so the work cannot be optimized away.
+// (the campaign's uneven-shard shape). Returns a value that depends on
+// every loop iteration so the work cannot be optimized away.
 double skewed_work(std::size_t i) {
   const std::size_t iters = (i % 16 == 0) ? 20'000 : 200;
   double acc = static_cast<double>(i + 1);
@@ -176,17 +123,16 @@ double skewed_work(std::size_t i) {
 
 }  // namespace
 
-TEST(WorkStealing, SkewedWorkloadResultsInvariantAcrossWidths) {
-  // Execution order is dynamic, but per-index results land in per-index
-  // slots, so the result vector must be bit-identical at any width.
+TEST(ThreadPool, SkewedWorkloadResultsInvariantAcrossWidths) {
+  // At grain 1 lanes claim indices one at a time, so execution order is
+  // dynamic; per-index results land in per-index slots, so the result
+  // vector must be bit-identical at any width.
   const auto run = [](std::size_t width) {
     ThreadPool pool(width);
     std::vector<double> out(256, 0.0);
-    pool.parallel_for_ws(0, out.size(), 3,
-                         [&](std::size_t b, std::size_t e) {
-                           for (std::size_t i = b; i < e; ++i)
-                             out[i] = skewed_work(i);
-                         });
+    pool.parallel_for(0, out.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) out[i] = skewed_work(i);
+    });
     return out;
   };
   const auto one = run(1);
@@ -197,26 +143,6 @@ TEST(WorkStealing, SkewedWorkloadResultsInvariantAcrossWidths) {
     EXPECT_EQ(one[i], two[i]) << "index " << i;
     EXPECT_EQ(one[i], eight[i]) << "index " << i;
   }
-}
-
-TEST(WorkStealing, StealingActuallyHappens) {
-  // Chunks sleep, so the submitter cannot race through the whole range
-  // before a worker claims something — even on a single hardware core
-  // the sleeping submitter yields the CPU to the workers.
-  ThreadPool pool(8);
-  pool.reset_steal_count();
-  EXPECT_EQ(pool.steal_count(), 0u);
-  pool.parallel_for_ws(0, 32, 1, [&](std::size_t, std::size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  });
-  EXPECT_GT(pool.steal_count(), 0u);
-}
-
-TEST(WorkStealing, SubmitterOnlyCountsNoSteals) {
-  ThreadPool pool(1);  // width 1: inline serial path, nobody to steal
-  pool.reset_steal_count();
-  pool.parallel_for_ws(0, 64, 1, [](std::size_t, std::size_t) {});
-  EXPECT_EQ(pool.steal_count(), 0u);
 }
 
 TEST(ThreadPool, EmptyRangeIsANoOp) {

@@ -38,9 +38,7 @@ TEST(SamplerBackCompat, RawPolarStreamSeed123) {
 TEST(SamplerBackCompat, WhiteGaussianPolarStream) {
   // WhiteGaussianNoise(2.0, 1000.0, 0x77) — the seed test_noise uses
   // for the fill bit-identity check — stepped through next().
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  WhiteGaussianNoise w(2.0, 1000.0, 0x77, kPolar);
-  PTRNG_SUPPRESS_DEPRECATED_END
+  WhiteGaussianNoise w(2.0, 1000.0, 0x77, SamplerPolicy{kPolar});
   const std::array<double, 8> expected = {
       -0x1.3bbaa2fc21ac8p+1, 0x1.c83ac5eb98d55p+0,  0x1.0f97d0249fd87p+0,
       -0x1.7907fb8cbd2ccp+0, -0x1.edcad752392cbp-4, 0x1.94bd4fb1bb832p+1,
@@ -85,30 +83,6 @@ TEST(SamplerBackCompat, KasdinPolarStream) {
   };
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(kf.next(), expected[i]) << "sample " << i;
-}
-
-// The pre-PR-7 per-config `gauss_method` field survives as a deprecated
-// alias that overrides `sampler` when explicitly set. Pin its stream
-// against the SamplerPolicy path so the alias provably stays equivalent
-// for its one-release deprecation window.
-TEST(SamplerBackCompat, DeprecatedGaussMethodAliasMatchesSamplerPolicy) {
-  FilterBankFlicker::Config modern;
-  modern.amplitude = 1e-2;
-  modern.fs = 1.0;
-  modern.f_min = 1e-4;
-  modern.f_max = 0.25;
-  modern.seed = 0xbac2;
-  modern.sampler.gauss_method = kPolar;
-
-  FilterBankFlicker::Config legacy = modern;
-  legacy.sampler = {};  // alias must win over the (default) policy
-  PTRNG_SUPPRESS_DEPRECATED_BEGIN
-  legacy.gauss_method = kPolar;
-  PTRNG_SUPPRESS_DEPRECATED_END
-
-  FilterBankFlicker a(modern);
-  FilterBankFlicker b(legacy);
-  for (int i = 0; i < 64; ++i) EXPECT_EQ(a.next(), b.next()) << "sample " << i;
 }
 
 }  // namespace
