@@ -152,6 +152,108 @@ TEST(ThreadPool, EmptyRangeIsANoOp) {
   EXPECT_FALSE(called);
 }
 
+// --- dynamic load balancing ----------------------------------------------
+// Lanes claim chunks one at a time from the job's shared index, so a lane
+// that finishes early takes over chunks a busy lane would otherwise have
+// run. These cases drive that path under uneven work and across widths.
+
+TEST(WorkStealing, CoversEveryIndexExactlyOnce) {
+  // Skewed per-chunk cost makes the lanes claim very different numbers of
+  // chunks; every index must still run exactly once at each width.
+  for (std::size_t width : {2u, 4u, 8u}) {
+    ThreadPool pool(width);
+    std::vector<std::atomic<int>> hits(1000);
+    for (auto& h : hits) h = 0;
+    pool.parallel_for(0, hits.size(), 7, [&](std::size_t b, std::size_t e) {
+      volatile double sink = skewed_work(b);
+      (void)sink;
+      for (std::size_t i = b; i < e; ++i) ++hits[i];
+    });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+      EXPECT_EQ(hits[i].load(), 1) << "width " << width << " index " << i;
+  }
+}
+
+TEST(WorkStealing, ExceptionPropagatesAndPoolStaysUsable) {
+  for (std::size_t width : {1u, 4u}) {
+    ThreadPool pool(width);
+    EXPECT_THROW(
+        pool.parallel_for(0, 100, 1,
+                          [&](std::size_t b, std::size_t) {
+                            if (b == 57) throw std::runtime_error("chunk 57");
+                          }),
+        std::runtime_error);
+    // Several jobs after the failed one: each must start from a fresh
+    // claim index and drain completely, or a later wait would hang or
+    // skip chunks.
+    for (int round = 0; round < 3; ++round) {
+      std::atomic<int> sum{0};
+      pool.parallel_for(0, 16, 1, [&](std::size_t b, std::size_t e) {
+        sum += static_cast<int>(e - b);
+      });
+      EXPECT_EQ(sum.load(), 16) << "width " << width << " round " << round;
+    }
+  }
+}
+
+TEST(WorkStealing, NestedFanoutExecutesEveryInnerIndex) {
+  // Two levels of nesting below the outer loop: the inner calls run
+  // inline on whichever lane claimed the outer chunk, and every inner
+  // index is still executed.
+  ThreadPool pool(4);
+  std::atomic<int> inner_total{0};
+  pool.parallel_for(0, 8, 1, [&](std::size_t, std::size_t) {
+    pool.parallel_for(0, 10, 3, [&](std::size_t b, std::size_t e) {
+      pool.parallel_for(b, e, 1, [&](std::size_t bb, std::size_t ee) {
+        inner_total += static_cast<int>(ee - bb);
+      });
+    });
+  });
+  EXPECT_EQ(inner_total.load(), 80);
+}
+
+TEST(WorkStealing, InsideDeterministicTaskRunsInline) {
+  // A parallel_for issued from inside a chunk must not fan out: it runs
+  // on the thread that owns the outer chunk, with the same chunk
+  // boundaries, in chunk order.
+  ThreadPool pool(4);
+  struct Seen {
+    std::thread::id outer;
+    std::vector<std::thread::id> inner_threads;
+    std::vector<std::size_t> inner_begins;
+  };
+  std::vector<Seen> seen(4);
+  pool.parallel_for(0, seen.size(), 1, [&](std::size_t b, std::size_t) {
+    Seen& s = seen[b];
+    s.outer = std::this_thread::get_id();
+    pool.parallel_for(0, 12, 5, [&](std::size_t ib, std::size_t) {
+      s.inner_threads.push_back(std::this_thread::get_id());
+      s.inner_begins.push_back(ib);
+    });
+  });
+  for (const Seen& s : seen) {
+    EXPECT_EQ(s.inner_begins, (std::vector<std::size_t>{0, 5, 10}));
+    for (const auto& id : s.inner_threads) EXPECT_EQ(id, s.outer);
+  }
+}
+
+TEST(WorkStealing, EmptyRangeIsANoOp) {
+  // Empty and reversed ranges publish no job, at grain 1 and at the auto
+  // grain; the pool then runs a real job normally.
+  ThreadPool pool(4);
+  bool called = false;
+  const auto mark = [&](std::size_t, std::size_t) { called = true; };
+  pool.parallel_for(5, 5, 1, mark);
+  pool.parallel_for(5, 5, 0, mark);
+  pool.parallel_for(9, 5, 1, mark);
+  EXPECT_FALSE(called);
+  std::atomic<int> sum{0};
+  pool.parallel_for(0, 32, 1, [&](std::size_t b, std::size_t e) {
+    sum += static_cast<int>(e - b);
+  });
+  EXPECT_EQ(sum.load(), 32);
+}
+
 TEST(ThreadPool, ReduceIsBitIdenticalAcrossWidths) {
   // Floating-point accumulation in chunk order: any reordering across
   // thread counts would change the rounding and fail the exact compare.
