@@ -24,6 +24,7 @@
 #include "oscillator/oscillator_pair.hpp"
 #include "oscillator/ring_oscillator.hpp"
 #include "stats/psd.hpp"
+#include "trng/ero_trng.hpp"
 
 namespace {
 
@@ -232,6 +233,16 @@ void bm_ero_advance_to_block(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_ero_advance_to_block);
+
+// One raw bit of the paper eRO (both rings jumping, sampling clock
+// included) at the campaign's divider 200 and at the dividers where the
+// paper's thermal bound starts to pay (2e4) and is met (1e5).
+void bm_paper_trng_bit(benchmark::State& state) {
+  auto trng =
+      trng::paper_trng(static_cast<std::uint32_t>(state.range(0)), 0xb17);
+  for (auto _ : state) benchmark::DoNotOptimize(trng.next_bit());
+}
+BENCHMARK(bm_paper_trng_bit)->Arg(200)->Arg(20000)->Arg(100000);
 
 void bm_kasdin(benchmark::State& state) {
   auto gen = make_generator("kasdin", 1e-3, 2);

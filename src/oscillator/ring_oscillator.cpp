@@ -216,11 +216,15 @@ void RingOscillator::advance_periods(std::uint64_t k) {
 EdgeBracket RingOscillator::advance_to_block(double t_target,
                                              EdgeBracket bracket) {
   PTRNG_EXPECTS(bracket.next == edge_time());
-  // One jump sized from the oscillator's own accumulated jitter (Eq.
-  // 11's sigma_N: thermal plus the flicker bank's sum variance), with
-  // the gap counted on the ring's own clock N. A stepped period's jitter
-  // J moves that count by J / T within a factor 1 +- w T d / 2, which
-  // the widening of sigma_N by 1 + d bounds.
+  // Jumps sized from the oscillator's own accumulated jitter (Eq. 11's
+  // sigma_N: thermal plus the flicker bank's sum variance), with the gap
+  // counted on the ring's own clock N. A stepped period's jitter J moves
+  // that count by J / T within a factor 1 +- w T d / 2, which the
+  // widening of sigma_N by 1 + d bounds. An unmodulated ring repeats the
+  // jump while the remaining gap still allows one: at large gaps the
+  // first jump's margin spans many periods, and each repeat covers most
+  // of what is left in one draw instead of a step per period. The
+  // modulated ring keeps its single jump.
   double gap = (t_target - bracket.next) / t_nom_;
   PeriodCount to{};
   if (modulated()) {
@@ -228,15 +232,14 @@ EdgeBracket RingOscillator::advance_to_block(double t_target,
     gap = to.n - count_;
   }
   const double widen = 1.0 + modulation_.depth;
-  const std::uint64_t skip = jump_periods(
-      gap, t_nom_,
-      [this, widen](std::uint64_t n) {
-        double var = static_cast<double>(n) * sigma_th_ * sigma_th_;
-        if (flicker_) var += flicker_->sum_variance(n);
-        return widen * std::sqrt(var);
-      },
-      &margin_memo_, modulation_.depth);
-  if (skip > 0) {
+  const auto stddev = [this, widen](std::uint64_t n) {
+    double var = static_cast<double>(n) * sigma_th_ * sigma_th_;
+    if (flicker_) var += flicker_->sum_variance(n);
+    return widen * std::sqrt(var);
+  };
+  for (std::uint64_t skip = jump_periods(gap, t_nom_, stddev, &margin_memo_,
+                                         modulation_.depth);
+       skip > 0;) {
     // Jump skip + 1 periods and take the last one from the jump: after
     // advance_sum(skip + 1) the bank's state sum is exactly the last
     // period's flicker, and its thermal draw is independent of the
@@ -269,6 +272,13 @@ EdgeBracket RingOscillator::advance_to_block(double t_target,
     edge_time_.add(last);
     bracket.next = edge_time();
     cycles_ += skip + 1;
+    // jump_periods never jumps a gap within 1 + kMarginPeriods periods,
+    // the usual remainder, so test that before dividing.
+    if (modulated() ||
+        !(t_target - bracket.next > (1.0 + kMarginPeriods) * t_nom_))
+      break;
+    skip = jump_periods((t_target - bracket.next) / t_nom_, t_nom_, stddev,
+                        &margin_memo_);
   }
   while (bracket.next <= t_target) {
     bracket.prev = bracket.next;
