@@ -47,11 +47,6 @@ void Xoshiro256pp::jump() noexcept {
   state_ = {s0, s1, s2, s3};
 }
 
-double GaussianSampler::operator()() noexcept {
-  if (method_ == Method::Ziggurat) return ZigguratNormal::draw(rng_);
-  return polar_next();
-}
-
 void GaussianSampler::fill(std::span<double> out) noexcept {
   if (method_ == Method::Ziggurat) {
     ZigguratNormal::fill(rng_, out);

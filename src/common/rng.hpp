@@ -15,6 +15,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -115,6 +116,40 @@ class Xoshiro256pp {
   std::array<std::uint64_t, 4> state_{};
 };
 
+namespace detail {
+
+// The ziggurat's ~98.5% fast path, inline so a scalar draw costs no
+// call (common/ziggurat.hpp has the scheme). Its tables are generated
+// at compile time in ziggurat.cpp and exported here: per layer, the
+// integer accept bound and the width scale.
+extern const std::array<std::uint64_t, 256> kZigguratAccept;
+extern const std::array<double, 256> kZigguratWidth;
+
+/// Finishes a ziggurat draw whose first word `bits` missed the fast
+/// accept: the exact wedge and tail code (ziggurat.cpp), out of line.
+double ziggurat_finish(Xoshiro256pp& rng, std::uint64_t bits) noexcept;
+
+/// One N(0,1) ziggurat variate: one 64-bit word, one table lookup and
+/// one multiply on the fast path. The low 8 bits pick the layer, bit 8
+/// the sign (OR-ed into the double, branch-free), the top 52 bits the
+/// magnitude.
+inline double ziggurat_draw(Xoshiro256pp& rng) noexcept {
+  const std::uint64_t bits = rng.next();
+  const std::size_t idx = bits & 0xffu;
+  const std::uint64_t rabs = (bits >> 9) & 0xfffffffffffffULL;
+  if (rabs < kZigguratAccept[idx]) [[likely]] {
+    // rabs < 2^52, so the int64_t cast is exact and keeps the
+    // conversion on the fast signed cvt path.
+    const double x = static_cast<double>(static_cast<std::int64_t>(rabs)) *
+                     kZigguratWidth[idx];
+    return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) |
+                                 ((bits & 0x100u) << 55));
+  }
+  return ziggurat_finish(rng, bits);
+}
+
+}  // namespace detail
+
 /// Standard-normal sampler (mean 0, variance 1) with a selectable
 /// engine. Method::Ziggurat (default) is the 256-layer table-driven
 /// sampler; Method::Polar is the Marsaglia polar method (caching the
@@ -135,8 +170,13 @@ class GaussianSampler {
                            Method method = Method::Ziggurat) noexcept
       : rng_(rng), method_(method) {}
 
-  /// One N(0,1) sample.
-  double operator()() noexcept;
+  /// One N(0,1) sample. The ziggurat's fast path is inline; its
+  /// wedge/tail and the polar method stay out of line.
+  double operator()() noexcept {
+    if (method_ == Method::Ziggurat) [[likely]]
+      return detail::ziggurat_draw(rng_);
+    return polar_next();
+  }
 
   /// Batched draws, bit-identical to out.size() operator()() calls on
   /// the same stream: the ziggurat inlines its scalar path across the

@@ -128,8 +128,9 @@ inline double apply_sign(double magnitude, std::uint64_t sign_bit) noexcept {
 
 // One draw attempt consumes exactly one 64-bit word on the fast path;
 // the wedge test adds one word (its uniform), the tail two per round.
-// Split so the SIMD lane kernel can hand a lane its already-drawn word
-// and let the exact scalar wedge/tail logic finish the draw.
+// Split so the inline fast path (detail::ziggurat_draw) and the SIMD
+// lane kernel can hand over an already-drawn word and let the exact
+// scalar wedge/tail logic finish the draw.
 inline double draw_from_word(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
   for (;;) {
     const std::size_t idx = bits & 0xffu;
@@ -157,10 +158,6 @@ inline double draw_from_word(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
       return apply_sign(x, sign_bit);
     bits = rng.next();
   }
-}
-
-inline double draw_impl(Xoshiro256pp& rng) noexcept {
-  return draw_from_word(rng, rng.next());
 }
 
 // ---------------------------------------------------------------------
@@ -249,12 +246,19 @@ PTRNG_SIMD_TARGET void fill_lanes4_kernel(
 
 }  // namespace
 
-double ZigguratNormal::draw(Xoshiro256pp& rng) noexcept {
-  return draw_impl(rng);
+namespace detail {
+
+constinit const std::array<std::uint64_t, kLayers> kZigguratAccept = kTab.ki;
+constinit const std::array<double, kLayers> kZigguratWidth = kTab.wi;
+
+double ziggurat_finish(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
+  return draw_from_word(rng, bits);
 }
 
+}  // namespace detail
+
 void ZigguratNormal::fill(Xoshiro256pp& rng, std::span<double> out) noexcept {
-  for (auto& x : out) x = draw_impl(rng);
+  for (auto& x : out) x = detail::ziggurat_draw(rng);
 }
 
 void ZigguratNormal::fill_lanes4(const std::array<Xoshiro256pp*, 4>& rngs,
@@ -266,7 +270,8 @@ void ZigguratNormal::fill_lanes4(const std::array<Xoshiro256pp*, 4>& rngs,
   // Scalar fallback: same interleaved layout, same per-lane streams —
   // the reference the kernel is differentially tested against.
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t l = 0; l < 4; ++l) out[4 * i + l] = draw_impl(*rngs[l]);
+    for (std::size_t l = 0; l < 4; ++l)
+      out[4 * i + l] = detail::ziggurat_draw(*rngs[l]);
 }
 
 }  // namespace ptrng

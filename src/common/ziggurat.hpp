@@ -42,8 +42,11 @@ class ZigguratNormal {
   void fill(std::span<double> out) noexcept { fill(rng_, out); }
 
   /// One variate from an external uniform stream — the building block
-  /// GaussianSampler dispatches to.
-  static double draw(Xoshiro256pp& rng) noexcept;
+  /// GaussianSampler dispatches to. The fast path is inline
+  /// (detail::ziggurat_draw in common/rng.hpp).
+  static double draw(Xoshiro256pp& rng) noexcept {
+    return detail::ziggurat_draw(rng);
+  }
 
   /// Batched draws from an external uniform stream, bit-identical to
   /// out.size() draw() calls.
