@@ -122,8 +122,7 @@ void RandomByteService::producer_loop() {
       // Keep the raw stream flowing so the engine can count healthy
       // bits back to nominal — but none of it is published.
       have_pending = false;
-      (void)conditioner_.condition_block(pipeline_);
-      blocks_discarded_.fetch_add(1, std::memory_order_relaxed);
+      observe_discarded_block();
       publish_health_state();
       continue;
     }
@@ -151,11 +150,19 @@ void RandomByteService::producer_loop() {
       // consumer attached still has to latch — so pump a discarded
       // block through the health tap between backoff pauses.
       ring_backoff.pause();
-      (void)conditioner_.condition_block(pipeline_);
-      blocks_discarded_.fetch_add(1, std::memory_order_relaxed);
+      observe_discarded_block();
       publish_health_state();
     }
   }
+}
+
+void RandomByteService::observe_discarded_block() {
+  // A block's raw bits through the pipeline and its health tap, with no
+  // conditioning: nobody reads the result.
+  discard_bits_.resize(
+      conditioner_.raw_bits_needed(config_.conditioner.block_bytes));
+  pipeline_.generate_into(discard_bits_);
+  blocks_discarded_.fetch_add(1, std::memory_order_relaxed);
 }
 
 RandomByteService::Stream RandomByteService::open_stream(

@@ -23,8 +23,10 @@
 //
 // Health gating (the SP 800-90B §4.4 story, wired end to end):
 //   nominal      -> blocks published, fill() serves.
-//   degraded     -> (engine intermittent) producer keeps pumping so
-//                   the engine can recover, but DISCARDS blocks;
+//   degraded     -> (engine intermittent) producer keeps pumping each
+//                   block's raw bits through the health tap so the
+//                   engine can recover, but conditions and publishes
+//                   none of them (counted as discarded blocks);
 //                   fill() blocks up to wait_budget, then errors.
 //   failed       -> (engine total failure) producer parks; fill()
 //                   fails immediately. acknowledge_failure() routes
@@ -169,6 +171,11 @@ class RandomByteService {
   [[nodiscard]] const RbgServiceConfig& config() const noexcept {
     return config_;
   }
+  /// The block conditioner and its entropy ledger. Read it only while
+  /// the producer is stopped.
+  [[nodiscard]] const HashConditioner& conditioner() const noexcept {
+    return conditioner_;
+  }
 
  private:
   void producer_loop();
@@ -177,6 +184,10 @@ class RandomByteService {
   bool pop_block_within_budget(std::vector<std::byte>& block);
   /// Maps the engine state to the service gate (producer thread only).
   void publish_health_state();
+  /// Pulls one block's worth of raw bits through the pipeline (so the
+  /// health tap sees them) without conditioning, and counts it
+  /// discarded (producer thread only).
+  void observe_discarded_block();
 
   RbgServiceConfig config_;
   HealthEngine& health_;
@@ -196,6 +207,7 @@ class RandomByteService {
   bool ack_done_ = true;  ///< guarded by ack_mutex_
 
   std::vector<std::byte> root_seed_;  ///< const after start()
+  std::vector<std::uint8_t> discard_bits_;  ///< producer's raw staging
 };
 
 }  // namespace ptrng::trng

@@ -227,6 +227,41 @@ TEST(RbgService, TotalFailureStopsOutputUntilAcknowledgeAndReseed) {
   service.stop();
 }
 
+TEST(RbgService, DiscardedBlocksFeedTheHealthTapWithoutConditioning) {
+  // No consumer, so the ring fills and every further block is discarded.
+  // A discarded block's raw bits still pass the health tap, exactly one
+  // block's worth each, but never reach the conditioner: the engine sees
+  // the conditioner's raw bits plus one block per discarded block, and
+  // the conditioner's ledger holds only the root, the produced blocks
+  // and at most one block waiting for ring space. One pump per block
+  // keeps the tap's count exact.
+  RngBitSource source(0x66);
+  HealthEngine engine{ContinuousHealthConfig{}};
+  RbgServiceConfig cfg = quiet_config();
+  cfg.ring_capacity = 2;
+  const std::size_t raw_bits =
+      HashConditioner(cfg.conditioner).raw_bits_needed(
+          cfg.conditioner.block_bytes);
+  cfg.pipeline_block_bits = raw_bits;
+  RandomByteService service(source, engine, cfg);
+  service.start();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (service.blocks_discarded() < 50) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "the producer never discarded 50 blocks";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  service.stop();
+  const std::uint64_t produced = service.blocks_produced();
+  const std::uint64_t discarded = service.blocks_discarded();
+  EXPECT_EQ(engine.alarms(), 0u);
+  const std::uint64_t conditioned = service.conditioner().bits_in();
+  EXPECT_EQ(engine.bits_seen(), conditioned + discarded * raw_bits);
+  EXPECT_GE(conditioned, (1 + produced) * raw_bits);
+  EXPECT_LE(conditioned, (2 + produced) * raw_bits);
+}
+
 TEST(RbgService, FillAfterStopReportsNotStarted) {
   RngBitSource source(0x44);
   HealthEngine engine{ContinuousHealthConfig{}};
