@@ -158,6 +158,43 @@ PTRNG_SIMD_TARGET double advance_packs(const double* q, const double* sd_x,
   return total;
 }
 
+/// advance_sums() over the full packs, block after block: the packs'
+/// share of c.xhat into out[j], as four lane partial sums over the packs
+/// folded lane 0 first, then xhat = q o xhat + gain_j * z_j. `gain` is
+/// block-major with `stride` entries per block. sums_packs_scalar is the
+/// same computation lane by lane, so both paths give the same bits.
+PTRNG_SIMD_TARGET void sums_packs(const double* c, const double* q,
+                                  const double* gain, std::size_t stride,
+                                  double* xhat, const double* z,
+                                  std::size_t blocks, std::size_t packed,
+                                  double* out) noexcept {
+  for (std::size_t j = 0; j < blocks; ++j, gain += stride) {
+    simd::f64x4 acc = simd::splat4(0.0);
+    for (std::size_t s = 0; s < packed; s += simd::kLanes)
+      acc = acc + simd::load4(c + s) * simd::load4(xhat + s);
+    alignas(32) double lane[simd::kLanes];
+    simd::store4(lane, acc);
+    out[j] = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+    const simd::f64x4 zj = simd::splat4(z[j]);
+    for (std::size_t s = 0; s < packed; s += simd::kLanes)
+      simd::store4(xhat + s, simd::load4(q + s) * simd::load4(xhat + s) +
+                                 simd::load4(gain + s) * zj);
+  }
+}
+
+void sums_packs_scalar(const double* c, const double* q, const double* gain,
+                       std::size_t stride, double* xhat, const double* z,
+                       std::size_t blocks, std::size_t packed,
+                       double* out) noexcept {
+  for (std::size_t j = 0; j < blocks; ++j, gain += stride) {
+    double lane[simd::kLanes] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t s = 0; s < packed; ++s) lane[s & 3] += c[s] * xhat[s];
+    out[j] = ((lane[0] + lane[1]) + lane[2]) + lane[3];
+    for (std::size_t s = 0; s < packed; ++s)
+      xhat[s] = q[s] * xhat[s] + gain[s] * z[j];
+  }
+}
+
 }  // namespace
 
 FilterBankFlicker::FilterBankFlicker(const Config& config)
@@ -450,6 +487,116 @@ double FilterBankFlicker::advance_sum(std::size_t k) {
   // A separate chain from total's, so the two folds overlap.
   sum_states();
   return total + entry.resid_sd * resid_gauss_();
+}
+
+const FilterBankFlicker::SumsPlan& FilterBankFlicker::sums_plan(
+    std::size_t k, std::size_t blocks) {
+  for (const auto& plan : sums_cache_)
+    if (plan.k == k && plan.blocks == blocks) return plan;
+  const AdvanceCacheEntry& terms = advance_terms(k);
+  SumsPlan& plan = sums_cache_[sums_cache_next_];
+  sums_cache_next_ = (sums_cache_next_ + 1) % sums_cache_.size();
+  const std::size_t n = rho_.size();
+  plan.k = k;
+  plan.blocks = blocks;
+  plan.scale.resize(blocks);
+  plan.gain.resize(blocks * n);
+  plan.chol.assign(n * n, 0.0);
+  // Block model, per stage given the state x before the block (the
+  // advance_sum law): end state q x + w, w ~ N(0, sd_x^2), and sum
+  // c x + slope w + r, r the residual pooled over stages. So the sum's
+  // noise has variance v_obs = sum slope^2 sd_x^2 + resid_sd^2 and
+  // covariance slope sd_x^2 with each stage's w.
+  std::vector<double> w_var(n), w_cov(n), pc(n), p(n * n, 0.0);
+  double v_obs = terms.resid_sd * terms.resid_sd;
+  for (std::size_t s = 0; s < n; ++s) {
+    w_var[s] = terms.sd_x[s] * terms.sd_x[s];
+    w_cov[s] = terms.slope[s] * w_var[s];
+    v_obs += terms.slope[s] * w_cov[s];
+  }
+  // Kalman filter from a known state (P = 0). P is the covariance of the
+  // state given the sums drawn so far; the innovation of block j has
+  // variance c.Pc + v_obs and covariance q o Pc + w_cov with the block's
+  // end state.
+  const double* c = terms.mean_coef.data();
+  const double* q = terms.q.data();
+  for (std::size_t j = 0; j < blocks; ++j) {
+    double f = v_obs;
+    for (std::size_t s = 0; s < n; ++s) {
+      double acc = 0.0;
+      for (std::size_t t = 0; t < n; ++t) acc += p[s * n + t] * c[t];
+      pc[s] = acc;
+      f += c[s] * acc;
+    }
+    const double sf = std::sqrt(f);
+    double* const g = plan.gain.data() + j * n;
+    for (std::size_t s = 0; s < n; ++s) g[s] = (q[s] * pc[s] + w_cov[s]) / sf;
+    plan.scale[j] = sf;
+    for (std::size_t s = 0; s < n; ++s)
+      for (std::size_t t = 0; t < n; ++t)
+        p[s * n + t] = q[s] * q[t] * p[s * n + t] +
+                       (s == t ? w_var[s] : 0.0) - g[s] * g[t];
+  }
+  // The end state's law given every drawn sum: N(xhat, P).
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t t = 0; t <= s; ++t) {
+      double v = p[s * n + t];
+      for (std::size_t u = 0; u < t; ++u)
+        v -= plan.chol[s * n + u] * plan.chol[t * n + u];
+      if (t == s) {
+        PTRNG_ENSURES(v > 0.0);
+        plan.chol[s * n + s] = std::sqrt(v);
+      } else {
+        plan.chol[s * n + t] = v / plan.chol[t * n + t];
+      }
+    }
+  }
+  return plan;
+}
+
+void FilterBankFlicker::advance_sums(std::size_t k, std::span<double> out) {
+  PTRNG_EXPECTS(k >= 1);
+  PTRNG_EXPECTS(!out.empty() && out.size() <= kMaxSumBlocks);
+  if (k == 1) {
+    for (auto& y : out) y = next();
+    return;
+  }
+  const AdvanceCacheEntry& terms = advance_terms(k);
+  const SumsPlan& plan = sums_plan(k, out.size());
+  const std::size_t n = rho_.size();
+  const std::size_t blocks = out.size();
+  // One innovation per block, then one draw per stage for the end state.
+  innovation_.resize(blocks + n);
+  resid_gauss_.fill({innovation_.data(), blocks});
+  const std::size_t i = take_ahead();
+  for (std::size_t s = 0; s < n; ++s)
+    innovation_[blocks + s] = ahead_[ahead_index(s, i)];
+  const double* const z = innovation_.data();
+  xhat_.assign(state_.begin(), state_.end());
+  if (simd::active()) {
+    sums_packs(terms.mean_coef.data(), terms.q.data(), plan.gain.data(), n,
+               xhat_.data(), z, blocks, packed_stages_, out.data());
+  } else {
+    sums_packs_scalar(terms.mean_coef.data(), terms.q.data(),
+                      plan.gain.data(), n, xhat_.data(), z, blocks,
+                      packed_stages_, out.data());
+  }
+  for (std::size_t s = packed_stages_; s < n; ++s) {
+    double x = xhat_[s];
+    for (std::size_t j = 0; j < blocks; ++j) {
+      out[j] += terms.mean_coef[s] * x;
+      x = terms.q[s] * x + plan.gain[j * n + s] * z[j];
+    }
+    xhat_[s] = x;
+  }
+  for (std::size_t j = 0; j < blocks; ++j) out[j] += plan.scale[j] * z[j];
+  for (std::size_t s = 0; s < n; ++s) {
+    double x = xhat_[s];
+    for (std::size_t t = 0; t <= s; ++t)
+      x += plan.chol[s * n + t] * z[blocks + t];
+    state_[s] = x;
+  }
+  sum_states();
 }
 
 double FilterBankFlicker::analytic_psd(double f) const {

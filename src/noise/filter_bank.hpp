@@ -24,6 +24,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -73,6 +74,21 @@ class FilterBankFlicker final : public NoiseSource {
   /// draw per stage plus one from the bank's residual stream, so it
   /// composes deterministically with next()/fill() on the same generator.
   [[nodiscard]] double advance_sum(std::size_t k);
+
+  /// Longest batch advance_sums() draws in one call.
+  static constexpr std::size_t kMaxSumBlocks = 64;
+
+  /// Batched exact block advance: writes the sums of out.size()
+  /// (1..kMaxSumBlocks) consecutive k-sample blocks, drawn from their
+  /// exact joint law given the current stage states, and moves the
+  /// generator out.size() * k steps forward. It runs the bank's
+  /// block-rate state-space model in innovations (Kalman) form: one draw
+  /// per block from the bank's residual stream, then one per stage to
+  /// realize the end state from its law given the drawn sums, so it
+  /// composes with next(), advance_sum() and fill() like any other call.
+  /// The gains, innovation scales and end-state Cholesky factor depend
+  /// only on (k, out.size()) and are memoized. k == 1 steps with next().
+  void advance_sums(std::size_t k, std::span<double> out);
 
   /// Stationary variance of the sum of k consecutive samples — the
   /// flicker part of Eq. 11's sigma^2_N at N = k: per stage, the
@@ -169,6 +185,26 @@ class FilterBankFlicker final : public NoiseSource {
   const AdvanceCacheEntry& advance_terms(std::size_t k);
   std::array<AdvanceCacheEntry, 8> advance_cache_{};
   std::size_t advance_cache_next_ = 0;
+
+  /// advance_sums' filter for `blocks` blocks of length k, run from a
+  /// known state (P_0 = 0). Block j's sum is c.xhat + scale[j] * z_j and
+  /// the state estimate moves to q o xhat + gain_j * z_j, z_j the block's
+  /// standard-normal innovation; the end state is xhat + chol * z, z one
+  /// draw per stage.
+  struct SumsPlan {
+    std::size_t k = 0;  ///< block length; 0 marks an empty slot
+    std::size_t blocks = 0;
+    std::vector<double> scale;  ///< innovation stddev per block
+    std::vector<double> gain;   ///< blocks x stages, row j = block j
+    std::vector<double> chol;   ///< stages x stages, lower, row-major
+  };
+  /// Small round-robin memo keyed on (k, blocks): a sampling clock asks
+  /// for one pair for its whole life.
+  const SumsPlan& sums_plan(std::size_t k, std::size_t blocks);
+  std::array<SumsPlan, 4> sums_cache_{};
+  std::size_t sums_cache_next_ = 0;
+  std::vector<double> xhat_;        ///< advance_sums' state estimate
+  std::vector<double> innovation_;  ///< advance_sums' block draws
 };
 
 /// Shared Config factory for the oscillator-layer flicker banks: a 1/f

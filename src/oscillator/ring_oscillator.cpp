@@ -197,6 +197,39 @@ void RingOscillator::advance_periods(std::uint64_t k) {
   double elapsed =
       static_cast<double>(k) * t_nom_ + thermal_scale(k) * gauss_();
   if (flicker_) elapsed += flicker_->advance_sum(k);
+  add_block(elapsed);
+  cycles_ += k;
+}
+
+void RingOscillator::advance_periods(std::uint64_t k,
+                                     std::span<double> edges) {
+  if (k < 8) {
+    for (auto& edge : edges) {
+      advance_periods(k);
+      edge = edge_time();
+    }
+    return;
+  }
+  PTRNG_EXPECTS(edges.size() <= noise::FilterBankFlicker::kMaxSumBlocks);
+  if (edges.empty()) return;
+  thermal_scratch_.resize(edges.size());
+  gauss_.fill(thermal_scratch_);
+  if (flicker_) {
+    flicker_scratch_.resize(edges.size());
+    flicker_->advance_sums(k, flicker_scratch_);
+  }
+  const double scale = thermal_scale(k);
+  for (std::size_t j = 0; j < edges.size(); ++j) {
+    double elapsed =
+        static_cast<double>(k) * t_nom_ + scale * thermal_scratch_[j];
+    if (flicker_) elapsed += flicker_scratch_[j];
+    add_block(elapsed);
+    edges[j] = edge_time();
+  }
+  cycles_ += k * edges.size();
+}
+
+void RingOscillator::add_block(double elapsed) {
   if (modulated()) {
     // Run the free-running block on the ring's own clock: its jitter is
     // a count offset like the periods themselves. The free-running
@@ -210,7 +243,6 @@ void RingOscillator::advance_periods(std::uint64_t k) {
               t0;
   }
   edge_time_.add(elapsed);
-  cycles_ += k;
 }
 
 EdgeBracket RingOscillator::advance_to_block(double t_target,

@@ -193,6 +193,16 @@ class RingOscillator {
   /// (docs/ARCHITECTURE.md §5, "Modulated rings jump on their own clock").
   void advance_periods(std::uint64_t k);
 
+  /// advance_periods(k) edges.size() times (at most
+  /// FilterBankFlicker::kMaxSumBlocks), writing the edge after each
+  /// block into `edges`: the fixed-divider sampling clock's path. The
+  /// thermal draws are the same stream as block-by-block calls; the
+  /// flicker sums come from one FilterBankFlicker::advance_sums, exact
+  /// in law, at one draw per block plus one per stage. A modulated ring
+  /// maps each block onto its own clock as advance_periods(k) does;
+  /// k < 8 steps.
+  void advance_periods(std::uint64_t k, std::span<double> edges);
+
   /// Absolute time of the most recently produced rising edge [s].
   /// Accumulated with compensated summation.
   [[nodiscard]] double edge_time() const noexcept { return edge_time_.value(); }
@@ -261,6 +271,34 @@ class RingOscillator {
   [[nodiscard]] bool modulated() const noexcept {
     return modulation_.depth != 0.0;
   }
+
+  /// Adds a free-running block's elapsed time to the latest edge: on a
+  /// modulated ring, after mapping it onto the ring's own clock.
+  void add_block(double elapsed);
+};
+
+/// The edges of a fixed-divider sampling clock, drawn kEdges at a time
+/// through RingOscillator::advance_periods(k, edges) and handed out one
+/// by one. The ring's edge_time() therefore runs up to kEdges - 1
+/// edges ahead of the last edge handed out, and a modulation must be
+/// set on the ring before the first edge is taken.
+class SamplingEdges {
+ public:
+  static constexpr std::size_t kEdges =
+      noise::FilterBankFlicker::kMaxSumBlocks;
+
+  /// The edge `divider` periods after the previous one.
+  [[nodiscard]] double next(RingOscillator& ring, std::uint64_t divider) {
+    if (pos_ == kEdges) {
+      ring.advance_periods(divider, edges_);
+      pos_ = 0;
+    }
+    return edges_[pos_++];
+  }
+
+ private:
+  std::array<double, kEdges> edges_{};
+  std::size_t pos_ = kEdges;
 };
 
 }  // namespace ptrng::oscillator

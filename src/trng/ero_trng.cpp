@@ -18,11 +18,10 @@ EroTrng::EroTrng(const oscillator::RingOscillatorConfig& sampled,
 }
 
 std::uint8_t EroTrng::step() {
-  // Advance the sampling clock by `divider` periods (exact block advance),
-  // then bring the sampled oscillator's edge bracket over the sampling
-  // instant (bulk-edge API — blocks far out, period steps close in).
-  sampling_.advance_periods(config_.divider);
-  const double t_sample = sampling_.edge_time();
+  // The sampling clock's next divided edge (drawn ahead in exact
+  // blocks), then the sampled oscillator's edge bracket brought over the
+  // sampling instant (bulk-edge API — jumps far out, steps close in).
+  const double t_sample = sampling_edges_.next(sampling_, config_.divider);
   bracket_ = sampled_.advance_to_block(t_sample, bracket_);
   const double frac = bracket_.fractional_phase(t_sample);
   last_frac_ = frac;

@@ -23,9 +23,11 @@ struct EroTrngConfig {
 
 /// Streaming elementary RO-TRNG built on two simulated rings. A
 /// BitSource: compose with transforms through trng::Pipeline. The
-/// sampling clock is a single serial oscillator, so the batched path is
-/// the devirtualized per-bit loop (contrast MultiRingTrng, which fans
-/// out across rings).
+/// sampling instants come from a 64-edge draw-ahead block of the
+/// sampling clock (oscillator::SamplingEdges) that next_bit() and
+/// generate_into() share, so the two stay bit-identical; the batched
+/// path is the devirtualized per-bit loop (contrast MultiRingTrng,
+/// which fans out across rings).
 class EroTrng final : public BitSource {
  public:
   EroTrng(const oscillator::RingOscillatorConfig& sampled,
@@ -50,6 +52,9 @@ class EroTrng final : public BitSource {
   [[nodiscard]] oscillator::RingOscillator& sampled() noexcept {
     return sampled_;
   }
+  /// The sampling clock's ring. It runs ahead of the bits: its
+  /// edge_time() can be up to 63 edges past the last bit's sampling
+  /// instant. A modulation must be set on it before the first bit.
   [[nodiscard]] oscillator::RingOscillator& sampling() noexcept {
     return sampling_;
   }
@@ -62,6 +67,7 @@ class EroTrng final : public BitSource {
 
   oscillator::RingOscillator sampled_;
   oscillator::RingOscillator sampling_;
+  oscillator::SamplingEdges sampling_edges_;
   EroTrngConfig config_;
   double last_frac_ = 0.0;
   /// Most recent sampled-oscillator edge bracket [t_prev, t_next).

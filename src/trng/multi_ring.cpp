@@ -51,8 +51,7 @@ std::uint8_t MultiRingTrng::sample_ring(SampledRing& ring,
 }
 
 std::uint8_t MultiRingTrng::next_bit() {
-  sampling_.advance_periods(config_.divider);
-  const double t_sample = sampling_.edge_time();
+  const double t_sample = sampling_edges_.next(sampling_, config_.divider);
   std::uint8_t acc = 0;
   for (auto& ring : rings_) acc ^= sample_ring(ring, t_sample);
   return acc;
@@ -60,14 +59,12 @@ std::uint8_t MultiRingTrng::next_bit() {
 
 void MultiRingTrng::generate_into(std::span<std::uint8_t> out) {
   if (out.empty()) return;
-  // 1. The shared sampling clock is one serial oscillator: realize all
-  //    sample times before fanning out (ARCHITECTURE §5 — draw the
-  //    sequential stream first).
+  // 1. The shared sampling clock is one serial oscillator: take all
+  //    sample times from its draw-ahead block before fanning out
+  //    (ARCHITECTURE §5 — draw the sequential stream first).
   t_samples_.resize(out.size());
-  for (auto& t : t_samples_) {
-    sampling_.advance_periods(config_.divider);
-    t = sampling_.edge_time();
-  }
+  for (auto& t : t_samples_)
+    t = sampling_edges_.next(sampling_, config_.divider);
   // 2. One ring per task: each ring's bit block touches only that ring's
   //    oscillator state, so the fan-out is free of shared mutable state
   //    and the result cannot depend on the thread count.

@@ -33,9 +33,10 @@ struct MultiRingTrngConfig {
 /// sampled-bit block as an independent task on the common thread pool
 /// (one ring per chunk) and XOR-reduces the blocks in ring order. Each
 /// ring's bit block depends only on that ring's own oscillator state and
-/// the shared sample-time vector (drawn serially before the fan-out, per
-/// the ARCHITECTURE §5 rule), so the output is bit-identical for any
-/// PTRNG_THREADS — and identical to repeated next_bit() calls.
+/// the shared sample-time vector (read before the fan-out from the
+/// sampling clock's 64-edge draw-ahead block, which next_bit() reads
+/// too — the ARCHITECTURE §5 rule), so the output is bit-identical for
+/// any PTRNG_THREADS — and identical to repeated next_bit() calls.
 class MultiRingTrng final : public BitSource {
  public:
   /// `base` is the per-ring noise/frequency template; ring i gets a
@@ -70,6 +71,7 @@ class MultiRingTrng final : public BitSource {
   MultiRingTrngConfig config_;
   std::vector<SampledRing> rings_;
   oscillator::RingOscillator sampling_;
+  oscillator::SamplingEdges sampling_edges_;
   std::vector<double> t_samples_;                   ///< batch scratch
   std::vector<std::vector<std::uint8_t>> blocks_;   ///< per-ring scratch
 };

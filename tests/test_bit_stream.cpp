@@ -52,6 +52,26 @@ std::vector<std::uint8_t> random_bits(std::size_t n, std::uint64_t seed) {
 
 // --- (a) generate_into == repeated next_bit, at 1 and 8 threads ----------
 
+/// `n` bits of `a` pulled through generate_into chunks of 1, 63, 64 and
+/// 65 bits, each followed by one next_bit(): the sampling clock's
+/// 64-edge draw-ahead refills at every offset inside a chunk and inside
+/// a next_bit() run, so both entry points cross it. Must equal `n`
+/// next_bit() calls on `b`.
+void expect_interleaved_matches_next_bit(BitSource& a, BitSource& b,
+                                         std::size_t n) {
+  constexpr std::size_t kChunks[] = {1, 63, 64, 65};
+  std::vector<std::uint8_t> mixed, stepped(n);
+  for (std::size_t i = 0; mixed.size() < n; ++i) {
+    const std::size_t chunk = std::min(kChunks[i % 4], n - mixed.size());
+    std::vector<std::uint8_t> block(chunk);
+    a.generate_into(block);
+    mixed.insert(mixed.end(), block.begin(), block.end());
+    if (mixed.size() < n) mixed.push_back(a.next_bit());
+  }
+  for (auto& bit : stepped) bit = b.next_bit();
+  EXPECT_EQ(mixed, stepped);
+}
+
 TEST(BitSourceBatch, EroGenerateIntoMatchesNextBit) {
   for (std::size_t width : {1u, 8u}) {
     GlobalPoolWidth pool(width);
@@ -62,6 +82,10 @@ TEST(BitSourceBatch, EroGenerateIntoMatchesNextBit) {
     a.generate_into(batched);
     for (auto& bit : stepped) bit = b.next_bit();
     EXPECT_EQ(batched, stepped) << "width " << width;
+    auto c = paper_trng(40, 21);
+    auto d = paper_trng(40, 21);
+    SCOPED_TRACE(width);
+    expect_interleaved_matches_next_bit(c, d, 2'000);
   }
 }
 
@@ -75,6 +99,10 @@ TEST(BitSourceBatch, MultiRingGenerateIntoMatchesNextBit) {
     a.generate_into(batched);
     for (auto& bit : stepped) bit = b.next_bit();
     EXPECT_EQ(batched, stepped) << "width " << width;
+    auto c = paper_multi_ring(4, 60, 22);
+    auto d = paper_multi_ring(4, 60, 22);
+    SCOPED_TRACE(width);
+    expect_interleaved_matches_next_bit(c, d, 2'000);
   }
 }
 

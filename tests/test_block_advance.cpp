@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -369,6 +370,89 @@ TEST(BlockAdvance, FlickerAdvanceSumJointLawMatchesStepping) {
         resid[b] = sums[b] - beta * lasts[b];
       EXPECT_NEAR(stats::variance(resid) / v_resid, 1.0,
                   variance_ratio_tol(kBanks))
+          << where;
+    }
+  }
+}
+
+TEST(BlockAdvance, FlickerAdvanceSumsJointLawMatchesStepping) {
+  // advance_sums(k, 64) draws 64 block sums at once from their joint law
+  // given the stage states (innovations form of the block-rate model),
+  // then realizes the end state from its law given those sums. Over
+  // independent paper-shaped banks, two batches of 64 block sums each
+  // (the batch path) and 128 advance_sum(k) calls (the stepped path)
+  // must both match the stationary moments of block sums, which follow
+  // from V = sum_variance by stationarity: Var(S_j) = V(k), and the
+  // covariance of blocks L apart, C(L) = (V((L+1)k) - 2 V(Lk) +
+  // V((L-1)k)) / 2. Checked: every block's variance, lag 1 inside each
+  // batch (first, middle and last pair), lag 63 inside each batch, the
+  // pair across the batch boundary, and the end state through
+  // last_sample(): Var = V(1), and its covariance with the last block
+  // (V(k) - V(k-1) + V(1)) / 2. Skipping the end-state realization
+  // (keeping the filter's estimate) leaves last_sample() short of V(1).
+  constexpr std::size_t kBanks = 2000;
+  constexpr std::size_t kBatch = noise::FilterBankFlicker::kMaxSumBlocks;
+  constexpr std::size_t kBlocks = 2 * kBatch;
+  auto bank_config = [](std::uint64_t seed) {
+    return noise::flicker_band_config(1e-3, 1.0, 1e-7, seed);
+  };
+  noise::FilterBankFlicker reference(bank_config(1));
+  ASSERT_EQ(reference.stage_count(), 21u);
+  using ptrng::testing::covariance_tol;
+  using ptrng::testing::variance_ratio_tol;
+  for (const std::size_t k :
+       {std::size_t{8}, std::size_t{200}, std::size_t{100000}}) {
+    const auto v = [&](std::size_t m) {
+      return m == 0 ? 0.0 : reference.sum_variance(m);
+    };
+    const double vk = v(k);
+    const double v1 = v(1);
+    const auto lag_cov = [&](std::size_t lag) {
+      return 0.5 * (v((lag + 1) * k) - 2.0 * v(lag * k) + v((lag - 1) * k));
+    };
+    const double cov_last = 0.5 * (vk - v(k - 1) + v1);
+    for (const bool batch : {false, true}) {
+      // sums[j][b]: block j of bank b.
+      std::vector<std::vector<double>> sums(kBlocks,
+                                            std::vector<double>(kBanks));
+      std::vector<double> lasts(kBanks);
+      for (std::size_t b = 0; b < kBanks; ++b) {
+        noise::FilterBankFlicker fb(bank_config(
+            0x5b10'0000 + 2 * (kBanks * (k % 1009) + b) + (batch ? 1 : 0)));
+        std::array<double, kBlocks> y{};
+        if (batch) {
+          fb.advance_sums(k, {y.data(), kBatch});
+          fb.advance_sums(k, {y.data() + kBatch, kBatch});
+        } else {
+          for (auto& yj : y) yj = fb.advance_sum(k);
+        }
+        for (std::size_t j = 0; j < kBlocks; ++j) sums[j][b] = y[j];
+        lasts[b] = fb.last_sample();
+      }
+      const std::string where = std::string(batch ? "batched" : "stepped") +
+                                ", k = " + std::to_string(k);
+      for (std::size_t j = 0; j < kBlocks; ++j)
+        EXPECT_NEAR(stats::variance(sums[j]) / vk, 1.0,
+                    variance_ratio_tol(kBanks))
+            << where << ", block " << j;
+      const auto expect_cov = [&](std::size_t a, std::size_t lag) {
+        const double cov = lag_cov(lag);
+        EXPECT_NEAR(stats::covariance(sums[a], sums[a + lag]), cov,
+                    covariance_tol(kBanks, vk, vk, cov))
+            << where << ", blocks " << a << " and " << a + lag;
+      };
+      for (const std::size_t first : {std::size_t{0}, kBatch}) {
+        expect_cov(first, 1);
+        expect_cov(first + kBatch / 2, 1);
+        expect_cov(first + kBatch - 2, 1);
+        expect_cov(first, kBatch - 1);
+      }
+      expect_cov(kBatch - 1, 1);  // across the batch boundary
+      EXPECT_NEAR(stats::variance(lasts) / v1, 1.0,
+                  variance_ratio_tol(kBanks))
+          << where;
+      EXPECT_NEAR(stats::covariance(sums[kBlocks - 1], lasts), cov_last,
+                  covariance_tol(kBanks, vk, v1, cov_last))
           << where;
     }
   }

@@ -229,9 +229,9 @@ TEST(FillLanes, MatchesIndependentPerLaneDraws) {
 // ---------------------------------------------------------------------
 // FilterBankFlicker fill and per-call kernels: SIMD vs forced scalar at
 // several pool widths, stage-count remainders, a mid-block re-entry, and
-// advance_sum / next / last_sample interleaves. Stage counts are swept
-// via stages_per_decade so the AR(1) pack loop sees full packs, scalar
-// tails (1-2 stages) and the padded 3-stage tail.
+// advance_sum / advance_sums / next / last_sample interleaves. Stage
+// counts are swept via stages_per_decade so the AR(1) pack loop sees
+// full packs, scalar tails (1-2 stages) and the padded 3-stage tail.
 // ---------------------------------------------------------------------
 
 noise::FilterBankFlicker::Config bank_config(unsigned spd) {
@@ -274,6 +274,18 @@ std::vector<std::uint64_t> bank_run(unsigned spd, bool force,
       out.push_back(bank.last_sample());
       out.push_back(bank.next());
       EXPECT_EQ(bits(bank.last_sample()), bits(out.back()));
+    }
+  }
+  // Batched block sums: the filter's lane partial sums, its scalar tail
+  // and the end-state realization, interleaved with the per-call paths.
+  std::vector<double> sums(noise::FilterBankFlicker::kMaxSumBlocks);
+  for (const std::size_t k : {8, 200, 100000}) {
+    for (const std::size_t d : {1, 63, 64}) {
+      bank.advance_sums(k, std::span<double>(sums).first(d));
+      out.insert(out.end(), sums.begin(), sums.begin() + d);
+      out.push_back(bank.last_sample());
+      out.push_back(bank.next());
+      out.push_back(bank.advance_sum(k));
     }
   }
   ThreadPool::global().resize(0);

@@ -26,12 +26,11 @@
 // change to how the oscillators realize edges (for example the
 // block-advance margin shared by the oscillators' advance_to_block);
 // such a change re-pins them in the same commit and says so. The (i)
-// and (ii) pins were last re-pinned when advance_sum pooled its
-// per-stage residual draws into one and RingOscillator's jump began
-// realizing the bracket's first period, except the attacked eRO pins,
-// which were re-pinned when the modulated rings began jumping on their
-// closed-form clock; the (iii) pins when the cell array's gate-chain
-// cells moved to one jitter-sized jump per tick.
+// pins were last re-pinned when advance_sum pooled its per-stage
+// residual draws into one; the (ii) pins when the sampling clock began
+// drawing its flicker in 64-edge blocks (FilterBankFlicker::
+// advance_sums); the (iii) pins when the cell array's gate-chain cells
+// moved to one jitter-sized jump per tick.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -189,9 +188,9 @@ constexpr std::uint64_t kBitSeeds[] = {1, 2, 0xdecafbad};
 
 TEST(StreamPins, PaperEroBits) {
   const char* const pins[3] = {
-      "c7cba39434a10ceeecb1cb3b906370c6d54a5eea4418690586a255894185a147",
-      "c4bdbb3f1b5505e2027b7219ee7a5c269b3fd330d0992d68d835dd7da46de5e9",
-      "ff9e10c7f4f1283207ac2a529ce7ed2217b7efa684250fd14404db118c67d1c2",
+      "16dd2e764ea747a4a7ddce91b185fa1a36775635cebeed1c86870c433d337354",
+      "6d6d4091fbc97776e9cc47f7d2c3c7d7d4f6185e82ba81eb6bbf6a223834a2e9",
+      "a72a5d1043d9946b77241291a1364b11118b3b46006ac5d6b2e1920028ca8f5c",
   };
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
     auto trng = trng::paper_trng(200, kBitSeeds[i]);
@@ -204,9 +203,9 @@ TEST(StreamPins, PaperEroBits) {
 
 TEST(StreamPins, PaperMultiRingBits) {
   const char* const pins[3] = {
-      "afc1e9bdb6055bc066c038de7a9cac361b45884bd4ef86ed799d4d73ac691584",
-      "80aaa460827c4625665bfdd21908fd3fa887121eb9ab28b255cd5b8cb637b96e",
-      "736cefbad2035189d92aff2225dedc6b966a3ba19a2411d453e7733543e47cf4",
+      "d88374d719ee1f044672345230e082c093bb96775087f056c5194ed3d050aa26",
+      "3f45677a81d922e816baea454a00cf2dfe1c910916f285794419db7d5a14c033",
+      "b5c07e90aacfe45b45aeba92f09784830445bb279ed43ae2710bff4be88830ec",
   };
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i) {
     auto trng = trng::paper_multi_ring(4, 200, kBitSeeds[i]);
@@ -219,14 +218,14 @@ TEST(StreamPins, PaperMultiRingBits) {
 
 TEST(StreamPins, AttackedEroBits) {
   const char* const weak_pins[3] = {
-      "6bfc35d6621da6bb8b1da461d79eba4409e9d42f154702a041b7ae36e3b91333",
-      "cbdce9195e2b62493db081d69320296516cfa5655af6c41053f9c81838c317c1",
-      "bcd97c8345059c2b76dafd89d83c6cd970e8f729b53b352d8364b847ec091b5e",
+      "4c7bb1074ead23ea2f5226254fb2a3098f133b7742516c4e2fee2186be11a62b",
+      "4673d13850fb402f4a8a85c7891168aca89465d1c53c404ad004d192ae32a3a5",
+      "9569d9ede7e615666be2e454b0854d11052026f7724237602ab1f70ae6ba5737",
   };
   const char* const strong_pins[3] = {
-      "2b43755936e7c61f9129363734fffce6c7d83cb39e7c56f771170bd7e001b92f",
-      "d120814f56647db6e7693e3872db77cd22da899864316299c122fcef5989bfaa",
-      "afa9a6f9e20505e5636fdc1175c3e9fbcf42b7a216efad58a80d3e1d6d3041e7",
+      "831099a30550ca5ebd74459f72408f96cf33645fc90c1f3415b2f099d13af0ef",
+      "6ca94ec120b893e658ad723c29543366e612bdcf03eb1f5b415c253876b90050",
+      "4dab86a3c1101675fae45aed9e5823e68650f08119b2a946cf6bc6b8d2946069",
   };
   const auto strong = attacks::attack_by_name("em_strong");
   ASSERT_TRUE(strong.has_value());
