@@ -203,8 +203,9 @@ class FilterBankFlicker final : public NoiseSource {
   const SumsPlan& sums_plan(std::size_t k, std::size_t blocks);
   std::array<SumsPlan, 4> sums_cache_{};
   std::size_t sums_cache_next_ = 0;
-  std::vector<double> xhat_;        ///< advance_sums' state estimate
-  std::vector<double> innovation_;  ///< advance_sums' block draws
+  std::vector<double> xhat_;  ///< advance_sums' state estimate
+  /// advance_sums' draws: one per block, then one per stage.
+  std::vector<double> innovation_;
 };
 
 /// Shared Config factory for the oscillator-layer flicker banks: a 1/f
