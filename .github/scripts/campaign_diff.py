@@ -13,15 +13,18 @@ bench-smoke cache layout (``run-*/`` subdirectories, each holding one
 
 Two readings, chosen by what produced the two reports:
 
-* **Exact (same code).** The campaign is fully deterministic for a
-  fixed config, so when both reports come from the same code the
-  baseline is an exact reference and any rate movement is a change in
+* **Exact (same code and config).** The campaign is fully
+  deterministic for a fixed config, so when both reports come from the
+  same code and config the baseline is an exact reference and any rate movement is a change in
   behaviour. The exact reading applies when ``--code-id`` equals the
   code id stored next to the baseline report (a ``code-id`` file in
   the baseline report's directory; the nightly writes the tree hashes
-  of the simulator's sources there). Any move in the regression
-  direction, and any bad verdict flip, is a regression.
-* **Statistical (code changed).** Across any code change, and a
+  of the simulator's sources and its toolchain there) and both reports
+  carry the same ``config_digest`` (same seeds, bits, base seed and
+  corners). Any move in the regression direction, and any bad verdict
+  flip, is a regression.
+* **Statistical (code or config changed).** Across any code change,
+  a config change (a manual run at another seed count, say), and a
   declared stream change (a §5 recalibration) in particular, the new
   streams are a fresh draw of the same process: each corner's rates
   move by sampling noise in steps of 1/seeds (one shard). So each
@@ -178,6 +181,16 @@ def _counts(corner: dict, attacked: bool) -> list[tuple[str, int, int, bool]]:
             ("false-alarm rate", corner["alarmed"], corner["shards"], False)]
 
 
+def use_exact_reading(base: dict, new: dict, code_id: str | None,
+                      base_code_id: str | None) -> bool:
+    """The exact reading needs the same code and the same config: a
+    run at another seed count or corner set draws other streams even
+    from the same code."""
+    return (code_id is not None and base_code_id is not None
+            and code_id.strip() == base_code_id
+            and base.get("config_digest") == new.get("config_digest"))
+
+
 def compare(base: dict, new: dict, alpha: float = 0.05, exact: bool = False
             ) -> tuple[int, list[str], int, list[str]]:
     """Returns (compared, regressions, improvements, notices); each
@@ -287,12 +300,12 @@ def main() -> int:
               f"({new.get('shards_folded')}/{new.get('shards_total')} "
               "shards)")
 
-    exact = args.code_id is not None and \
-        args.code_id.strip() == baseline_code_id(baseline_path)
+    exact = use_exact_reading(base, new, args.code_id,
+                              baseline_code_id(baseline_path))
     compared, regressions, improvements, notices = compare(
         base, new, alpha=args.alpha, exact=exact)
 
-    reading = ("exact (same code)" if exact else
+    reading = ("exact (same code and config)" if exact else
                f"statistical (Fisher, Holm at alpha {args.alpha:g})")
     print(f"compared {compared} corners against {baseline_path}, "
           f"{reading} reading; "

@@ -54,7 +54,7 @@ def _attacked(alarmed: int = 8, **kw) -> dict:
     return _corner("ero/180nm/tt/f0/lock", "lock", 0, alarmed, **kw)
 
 
-# --- the exact reading (same code) ---------------------------------------
+# --- the exact reading (same code and config) ---------------------------
 
 
 def test_identical_reports_have_no_regressions() -> None:
@@ -79,13 +79,18 @@ def test_exact_reading_flags_any_move_in_the_bad_direction() -> None:
 
 
 def test_exact_reading_flags_verdict_flips() -> None:
-    base = _report([_attacked(alarmed=4)])
-    new = _report([_attacked(alarmed=3)])
+    # One shard each: an attacked corner 4/8 -> 3/8 alarmed (detected ->
+    # missed) and a healthy one 6/8 -> 5/8 AIS-31 passes (pass ->
+    # degraded).
+    base = _report([_healthy(passes=6), _attacked(alarmed=4)])
+    new = _report([_healthy(passes=5), _attacked(alarmed=3)])
     _, regressions, _, notices = campaign_diff.compare(base, new, exact=True)
     assert "ero/180nm/tt/f0/lock: verdict detected -> missed" in regressions
+    assert "ero/180nm/tt/f0/none: verdict pass -> degraded" in regressions
     _, regressions, _, notices = campaign_diff.compare(base, new)
     assert regressions == []
     assert any("detected -> missed" in n for n in notices)
+    assert any("pass -> degraded" in n for n in notices)
 
 
 def test_improvements_are_counted_not_flagged() -> None:
@@ -307,7 +312,7 @@ def test_code_id_next_to_the_baseline_selects_the_exact_reading() -> None:
         argv_backup = sys.argv
         try:
             for code_id, status, reading in [
-                    ("src-tree-1", 1, "exact (same code)"),
+                    ("src-tree-1", 1, "exact (same code and config)"),
                     ("src-tree-2", 0, "statistical"),
                     (None, 0, "statistical")]:
                 sys.argv = ["campaign_diff.py", str(root / "cache"),
@@ -317,6 +322,30 @@ def test_code_id_next_to_the_baseline_selects_the_exact_reading() -> None:
                 with contextlib.redirect_stdout(io.StringIO()) as out:
                     assert campaign_diff.main() == status, code_id
                 assert f"{reading}" in out.getvalue(), out.getvalue()
+        finally:
+            sys.argv = argv_backup
+
+
+def test_same_code_at_another_config_reads_statistically() -> None:
+    # A manual run at another seed count stored as the baseline: the
+    # same code draws other streams, so the one-shard move is noise.
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        run = root / "cache" / "run-0001"
+        run.mkdir(parents=True)
+        (run / "report.json").write_text(
+            json.dumps(_report([_attacked(alarmed=8)], digest="a" * 64)))
+        (run / "code-id").write_text("src-tree-1\n")
+        (root / "new.json").write_text(
+            json.dumps(_report([_attacked(alarmed=7)], digest="b" * 64)))
+        argv_backup = sys.argv
+        try:
+            sys.argv = ["campaign_diff.py", str(root / "cache"),
+                        str(root / "new.json"), "--code-id", "src-tree-1"]
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert campaign_diff.main() == 0
+            assert "statistical" in out.getvalue(), out.getvalue()
+            assert "config digest changed" in out.getvalue()
         finally:
             sys.argv = argv_backup
 
