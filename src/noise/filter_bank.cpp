@@ -555,12 +555,8 @@ const FilterBankFlicker::SumsPlan& FilterBankFlicker::sums_plan(
 }
 
 void FilterBankFlicker::advance_sums(std::size_t k, std::span<double> out) {
-  PTRNG_EXPECTS(k >= 1);
+  PTRNG_EXPECTS(k >= 2);
   PTRNG_EXPECTS(!out.empty() && out.size() <= kMaxSumBlocks);
-  if (k == 1) {
-    for (auto& y : out) y = next();
-    return;
-  }
   const AdvanceCacheEntry& terms = advance_terms(k);
   const SumsPlan& plan = sums_plan(k, out.size());
   const std::size_t n = rho_.size();

@@ -79,7 +79,9 @@ class FilterBankFlicker final : public NoiseSource {
   static constexpr std::size_t kMaxSumBlocks = 64;
 
   /// Batched exact block advance: writes the sums of out.size()
-  /// (1..kMaxSumBlocks) consecutive k-sample blocks, drawn from their
+  /// (1..kMaxSumBlocks) consecutive k-sample blocks (k >= 2: a
+  /// one-sample block's sum is its end states' sum, which would leave
+  /// the end state's law given the sums singular), drawn from their
   /// exact joint law given the current stage states, and moves the
   /// generator out.size() * k steps forward. It runs the bank's
   /// block-rate state-space model in innovations (Kalman) form: one draw
@@ -87,7 +89,7 @@ class FilterBankFlicker final : public NoiseSource {
   /// realize the end state from its law given the drawn sums, so it
   /// composes with next(), advance_sum() and fill() like any other call.
   /// The gains, innovation scales and end-state Cholesky factor depend
-  /// only on (k, out.size()) and are memoized. k == 1 steps with next().
+  /// only on (k, out.size()) and are memoized.
   void advance_sums(std::size_t k, std::span<double> out);
 
   /// Stationary variance of the sum of k consecutive samples — the

@@ -279,7 +279,7 @@ std::vector<std::uint64_t> bank_run(unsigned spd, bool force,
   // Batched block sums: the filter's lane partial sums, its scalar tail
   // and the end-state realization, interleaved with the per-call paths.
   std::vector<double> sums(noise::FilterBankFlicker::kMaxSumBlocks);
-  for (const std::size_t k : {8, 200, 100000}) {
+  for (const std::size_t k : {2, 8, 200, 100000}) {
     for (const std::size_t d : {1, 63, 64}) {
       bank.advance_sums(k, std::span<double>(sums).first(d));
       out.insert(out.end(), sums.begin(), sums.begin() + d);
