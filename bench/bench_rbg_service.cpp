@@ -145,7 +145,9 @@ BENCHMARK(bm_rbg_service_clients)
 
 void bm_hash_drbg_generate(benchmark::State& state) {
   // Single-stream DRBG expansion baseline: the per-core ceiling every
-  // client shares (hashgen is ~2 SHA-256 compressions per 32 bytes).
+  // client shares. Hashgen is one SHA-256 compression per 32 bytes (V's
+  // 55 bytes, the 0x80 pad and the 8-byte length fill one block), and
+  // rounds 0..12 of it are shared by every output of a request.
   HashDrbgConfig cfg;
   cfg.reseed_interval = 1ull << 40;
   HashDrbg drbg(cfg);

@@ -42,28 +42,24 @@ inline void store_be32(std::byte* p, std::uint32_t v) noexcept {
   p[3] = static_cast<std::byte>(v);
 }
 
-}  // namespace
-
-void Sha256::reset() noexcept {
-  state_ = kInitialState;
-  total_bytes_ = 0;
-  buffered_ = 0;
+/// Message schedule word t >= 16 from the 16 before it.
+inline std::uint32_t schedule_word(const std::array<std::uint32_t, 64>& w,
+                                   std::size_t t) noexcept {
+  const std::uint32_t s0 =
+      std::rotr(w[t - 15], 7) ^ std::rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
+  const std::uint32_t s1 =
+      std::rotr(w[t - 2], 17) ^ std::rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
+  return w[t - 16] + s0 + w[t - 7] + s1;
 }
 
-void Sha256::compress(const std::byte* block) noexcept {
-  std::array<std::uint32_t, 64> w;
-  for (std::size_t t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
-  for (std::size_t t = 16; t < 64; ++t) {
-    const std::uint32_t s0 = std::rotr(w[t - 15], 7) ^
-                             std::rotr(w[t - 15], 18) ^ (w[t - 15] >> 3);
-    const std::uint32_t s1 = std::rotr(w[t - 2], 17) ^
-                             std::rotr(w[t - 2], 19) ^ (w[t - 2] >> 10);
-    w[t] = w[t - 16] + s0 + w[t - 7] + s1;
-  }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (std::size_t t = 0; t < 64; ++t) {
+/// Rounds [first, last) of the compression function on the working
+/// variables a..h held in `s` (no feed-forward).
+inline void run_rounds(std::array<std::uint32_t, 8>& s,
+                       const std::array<std::uint32_t, 64>& w,
+                       std::size_t first, std::size_t last) noexcept {
+  std::uint32_t a = s[0], b = s[1], c = s[2], d = s[3];
+  std::uint32_t e = s[4], f = s[5], g = s[6], h = s[7];
+  for (std::size_t t = first; t < last; ++t) {
     const std::uint32_t big_s1 =
         std::rotr(e, 6) ^ std::rotr(e, 11) ^ std::rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -81,17 +77,29 @@ void Sha256::compress(const std::byte* block) noexcept {
     b = a;
     a = t1 + t2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  s = {a, b, c, d, e, f, g, h};
+}
+
+}  // namespace
+
+void Sha256::reset() noexcept {
+  state_ = kInitialState;
+  total_bytes_ = 0;
+  buffered_ = 0;
+}
+
+void Sha256::compress(const std::byte* block) noexcept {
+  std::array<std::uint32_t, 64> w;
+  for (std::size_t t = 0; t < 16; ++t) w[t] = load_be32(block + 4 * t);
+  for (std::size_t t = 16; t < 64; ++t) w[t] = schedule_word(w, t);
+  std::array<std::uint32_t, 8> work = state_;
+  run_rounds(work, w, 0, 64);
+  for (std::size_t i = 0; i < 8; ++i) state_[i] += work[i];
 }
 
 void Sha256::update(std::span<const std::byte> data) noexcept {
+  // An empty span may carry a null pointer, which memcpy must not see.
+  if (data.empty()) return;
   total_bytes_ += data.size();
   const std::byte* p = data.data();
   std::size_t n = data.size();
@@ -141,6 +149,63 @@ Sha256::Digest Sha256::digest(std::span<const std::byte> data) noexcept {
   Sha256 ctx;
   ctx.update(data);
   return ctx.finalize();
+}
+
+void sha256_counter_digests(std::span<const std::byte, 55> counter,
+                            std::span<std::byte> out) noexcept {
+  // The 55-byte message, its 0x80 pad and its 64-bit length fill one
+  // block: W0..W12 are counter bytes 0..51, W13 is bytes 52..54 then
+  // 0x80, W14 = 0 and W15 = 440. Stepping the counter's low 24 bits
+  // changes only W13, so rounds 0..12, W16..W19, W21, W23, W25 and W20
+  // less its W13 term are prepared once per carry into byte 51.
+  std::array<std::uint32_t, 64> w{};
+  for (std::size_t t = 0; t < 13; ++t)
+    w[t] = load_be32(counter.data() + 4 * t);
+  w[15] = 8 * 55;
+  std::uint32_t low = (std::to_integer<std::uint32_t>(counter[52]) << 16) |
+                      (std::to_integer<std::uint32_t>(counter[53]) << 8) |
+                      std::to_integer<std::uint32_t>(counter[54]);
+  std::array<std::uint32_t, 8> prefix{};
+  std::uint32_t w20_fixed = 0;
+  const auto prepare = [&] {
+    w[13] = 0;
+    for (const std::size_t t : {16, 17, 18, 19, 21, 23, 25})
+      w[t] = schedule_word(w, t);
+    w20_fixed = schedule_word(w, 20);
+    prefix = kInitialState;
+    run_rounds(prefix, w, 0, 13);
+  };
+  prepare();
+
+  Sha256::Digest tail{};
+  for (std::size_t produced = 0; produced < out.size();) {
+    w[13] = (low << 8) | 0x80u;
+    w[20] = w20_fixed + w[13];
+    w[22] = schedule_word(w, 22);
+    w[24] = schedule_word(w, 24);
+    for (std::size_t t = 26; t < 64; ++t) w[t] = schedule_word(w, t);
+    std::array<std::uint32_t, 8> work = prefix;
+    run_rounds(work, w, 13, 64);
+
+    const std::size_t take =
+        std::min(Sha256::kDigestBytes, out.size() - produced);
+    std::byte* dst = take == Sha256::kDigestBytes ? out.data() + produced
+                                                  : tail.data();
+    for (std::size_t i = 0; i < 8; ++i)
+      store_be32(dst + 4 * i, kInitialState[i] + work[i]);
+    if (dst == tail.data())
+      std::memcpy(out.data() + produced, tail.data(), take);
+    produced += take;
+
+    low = (low + 1) & 0xffffffu;
+    if (low == 0 && produced < out.size()) {
+      // Carry into byte 51 and up, mod 2^440 (all-ones wraps to zero).
+      std::size_t t = 13;
+      while (t-- > 0 && ++w[t] == 0) {
+      }
+      prepare();
+    }
+  }
 }
 
 std::string to_hex(std::span<const std::byte> bytes) {

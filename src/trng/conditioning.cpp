@@ -229,17 +229,7 @@ HashDrbg::Status HashDrbg::generate(std::span<std::byte> out,
   }
 
   // Hashgen: data = V; out_i = Hash(data); data = (data + 1) mod 2^440.
-  std::array<std::byte, kSeedLenBytes> data = v_;
-  std::size_t produced = 0;
-  while (produced < out.size()) {
-    const auto digest = Sha256::digest(data);
-    const std::size_t take =
-        std::min(digest.size(), out.size() - produced);
-    std::copy_n(digest.begin(), take,
-                out.begin() + static_cast<std::ptrdiff_t>(produced));
-    produced += take;
-    add_be_mod(data, 1);
-  }
+  sha256_counter_digests(v_, out);
 
   // V = (V + H + C + reseed_counter) mod 2^seedlen, H = Hash(0x03 || V).
   Sha256 hash;

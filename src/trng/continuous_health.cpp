@@ -6,21 +6,34 @@
 #include <cstring>
 
 #include "common/contracts.hpp"
-#include "stats/special.hpp"
 
 namespace ptrng::trng {
 
 namespace {
 
-/// log pmf of Bin(n, p) at k via log-gamma (stable for n up to the APT
-/// window sizes; p strictly inside (0, 1)).
-double log_binomial_pmf(std::size_t n, std::size_t k, double p) {
-  const double dn = static_cast<double>(n);
-  const double dk = static_cast<double>(k);
-  return stats::log_gamma(dn + 1.0) - stats::log_gamma(dk + 1.0) -
-         stats::log_gamma(dn - dk + 1.0) + dk * std::log(p) +
-         (dn - dk) * std::log1p(-p);
-}
+/// Bin(n, p) pmf terms from the top, j = n, n - 1, ...: log pmf(n) =
+/// n log p, then log pmf(j - 1) = log pmf(j) + log(j / (n - j + 1)) +
+/// log((1 - p) / p), so a term costs one log and one exp (p strictly
+/// inside (0, 1)).
+class PmfFromTop {
+ public:
+  PmfFromTop(std::size_t n, double p)
+      : n_(static_cast<double>(n)),
+        j_(n_),
+        log_pmf_(n_ * std::log(p)),
+        log_odds_(std::log1p(-p) - std::log(p)) {}
+
+  /// P(Bin(n, p) = j) at the current j, then steps j down by one.
+  double next() {
+    const double pmf = std::exp(log_pmf_);
+    log_pmf_ += std::log(j_ / (n_ - j_ + 1.0)) + log_odds_;
+    j_ -= 1.0;
+    return pmf;
+  }
+
+ private:
+  double n_, j_, log_pmf_, log_odds_;
+};
 
 /// Upper tail P(Bin(n, p) >= k), summed from the top so the alpha-scale
 /// comparison keeps full relative precision (no 1 - tiny cancellation).
@@ -29,9 +42,9 @@ double binomial_tail_ge(std::size_t n, std::size_t k, double p) {
   if (k > n) return 0.0;
   if (p <= 0.0) return 0.0;
   if (p >= 1.0) return 1.0;
+  PmfFromTop pmf(n, p);
   double tail = 0.0;
-  for (std::size_t j = n + 1; j-- > k;)
-    tail += std::exp(log_binomial_pmf(n, j, p));
+  for (std::size_t j = n + 1; j-- > k;) tail += pmf.next();
   return std::min(tail, 1.0);
 }
 
@@ -54,9 +67,10 @@ std::uint32_t adaptive_proportion_cutoff(std::size_t window, double h_min,
   // exceeds alpha while summing pmf terms from k = W downward:
   // tail(j) > alpha and tail(j+1) <= alpha means CDF(j) >= 1 - alpha
   // and CDF(j-1) < 1 - alpha.
+  PmfFromTop pmf(window, p);
   double tail = 0.0;
   for (std::size_t j = window + 1; j-- > 0;) {
-    tail += std::exp(log_binomial_pmf(window, j, p));
+    tail += pmf.next();
     if (tail > false_alarm)
       return static_cast<std::uint32_t>(1 + j);
   }

@@ -100,6 +100,89 @@ TEST(Sha256Kat, HexRoundTrip) {
   EXPECT_EQ(from_hex(to_hex(msg)), msg);
 }
 
+TEST(Sha256Kat, EmptyUpdateIsANoOp) {
+  // An empty span (null data pointer) with 0 and with 3 bytes buffered.
+  const auto msg = bytes_of("abc");
+  for (const std::size_t buffered : {0u, 3u}) {
+    const auto head = std::span<const std::byte>(msg).first(buffered);
+    Sha256 hash;
+    hash.update(head);
+    hash.update({});
+    hash.update(std::span<const std::byte>(msg).subspan(buffered));
+    hash.update({});
+    EXPECT_EQ(hash.finalize(), Sha256::digest(msg)) << buffered;
+  }
+}
+
+// --- hashgen kernel (sha256_counter_digests) -------------------------------
+
+using Counter = std::array<std::byte, HashDrbg::kSeedLenBytes>;
+
+/// Oracle: one Sha256::digest per counter value, then +1 mod 2^440.
+std::vector<std::byte> oracle_hashgen(Counter v, std::size_t n) {
+  std::vector<std::byte> out;
+  while (out.size() < n) {
+    const auto d = Sha256::digest(v);
+    out.insert(out.end(), d.begin(),
+               d.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(d.size(), n - out.size())));
+    for (std::size_t i = v.size(); i-- > 0;) {
+      v[i] = static_cast<std::byte>(std::to_integer<unsigned>(v[i]) + 1);
+      if (v[i] != std::byte{0}) break;
+    }
+  }
+  return out;
+}
+
+Counter random_counter(std::uint64_t seed) {
+  Xoshiro256pp rng(seed);
+  Counter v;
+  for (auto& b : v) b = static_cast<std::byte>(rng.next() & 0xff);
+  return v;
+}
+
+void expect_matches_oracle(const Counter& v, std::size_t n) {
+  std::vector<std::byte> out(n);
+  sha256_counter_digests(v, out);
+  EXPECT_EQ(out, oracle_hashgen(v, n)) << "n " << n << " V " << to_hex(v);
+}
+
+TEST(Sha256CounterDigests, RandomCountersMatchTheOracleAtEveryLength) {
+  for (const std::size_t n : {1u, 31u, 32u, 33u, 4096u, 65535u, 65536u})
+    expect_matches_oracle(random_counter(n), n);
+}
+
+TEST(Sha256CounterDigests, CarryIntoByte51RebuildsThePrefix) {
+  // Bytes 52..54 = ffffff: the second digest's counter carries into
+  // byte 51. Also start a few steps below the carry.
+  for (const unsigned below : {0u, 1u, 2u}) {
+    Counter v = random_counter(7 + below);
+    v[52] = v[53] = std::byte{0xff};
+    v[54] = static_cast<std::byte>(0xff - below);
+    for (const std::size_t n : {32u, 33u, 96u, 200u})
+      expect_matches_oracle(v, n);
+  }
+}
+
+TEST(Sha256CounterDigests, CarryAcrossWordBoundaries) {
+  // Bytes 49..54 all ff: the carry runs through W12 into W11.
+  Counter v = random_counter(11);
+  for (std::size_t i = 49; i < v.size(); ++i) v[i] = std::byte{0xff};
+  expect_matches_oracle(v, 160);
+}
+
+TEST(Sha256CounterDigests, AllOnesWrapsToZero) {
+  // V = 2^440 - 1: the second digest is SHA-256 of 55 zero bytes.
+  Counter v;
+  v.fill(std::byte{0xff});
+  expect_matches_oracle(v, 128);
+  const Counter zero{};
+  std::vector<std::byte> out(64);
+  sha256_counter_digests(v, out);
+  const auto d = Sha256::digest(zero);
+  EXPECT_TRUE(std::equal(d.begin(), d.end(), out.begin() + 32));
+}
+
 // --- hash_df --------------------------------------------------------------
 
 TEST(HashDf, PinnedVector55Bytes) {
@@ -241,7 +324,48 @@ TEST(HashDrbgKat, RequestSizeDoesNotChangeTheStream) {
   EXPECT_TRUE(std::equal(out32.begin(), out32.end(), out64.begin()));
 }
 
+TEST(HashDrbgKat, FullRequestIsHashgenOverTheSeededV) {
+  // A 64 KiB request is the oracle hashgen over V = hash_df(entropy ||
+  // nonce), and every shorter first request is a prefix of it.
+  const DrbgKatInputs in;
+  std::vector<std::byte> seed_material = in.entropy;
+  seed_material.insert(seed_material.end(), in.nonce.begin(), in.nonce.end());
+  Counter v;
+  hash_df(seed_material, v);
+
+  HashDrbg drbg;
+  drbg.instantiate(in.entropy, in.nonce);
+  std::vector<std::byte> full(drbg.config().max_bytes_per_request);
+  ASSERT_EQ(full.size(), 65536u);
+  ASSERT_EQ(drbg.generate(full), HashDrbg::Status::kOk);
+  EXPECT_EQ(full, oracle_hashgen(v, full.size()));
+  for (const std::size_t n : {1u, 33u, 4096u, 65535u}) {
+    HashDrbg shorter;
+    shorter.instantiate(in.entropy, in.nonce);
+    std::vector<std::byte> out(n);
+    ASSERT_EQ(shorter.generate(out), HashDrbg::Status::kOk);
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), full.begin())) << n;
+  }
+}
+
 // --- Hash_DRBG state machine ---------------------------------------------
+
+TEST(HashDrbgState, ReseedWithoutAdditionalInput) {
+  // No additional input hashes an empty (null) span through hash_df; it
+  // must equal an explicit empty span over real storage.
+  const DrbgKatInputs in;
+  HashDrbg a, b;
+  a.instantiate(in.entropy, in.nonce);
+  b.instantiate(in.entropy, in.nonce);
+  a.reseed(in.entropy_reseed);
+  b.reseed(in.entropy_reseed,
+           std::span<const std::byte>(in.additional).first(0));
+  std::vector<std::byte> out_a(64), out_b(64);
+  ASSERT_EQ(a.generate(out_a), HashDrbg::Status::kOk);
+  ASSERT_EQ(b.generate(out_b), HashDrbg::Status::kOk);
+  EXPECT_EQ(out_a, out_b);
+  EXPECT_EQ(a.reseeds(), 1u);
+}
 
 TEST(HashDrbgState, UninstantiatedAndOversizeRequestsAreRejected) {
   HashDrbg drbg;

@@ -11,6 +11,7 @@
 //    bands from stat_tolerance.hpp;
 //  * detection latency, in bits, for every attacks::injection scenario.
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/parallel.hpp"
 #include "common/rng.hpp"
 #include "stat_tolerance.hpp"
+#include "stats/special.hpp"
 #include "trng/bit_stream.hpp"
 #include "trng/continuous_health.hpp"
 #include "trng/ero_trng.hpp"
@@ -92,6 +94,34 @@ TEST(ContinuousHealthCutoffKat, AdaptiveProportionGrid) {
   EXPECT_EQ(adaptive_proportion_cutoff(1024, 0.8, 0x1p-20), 664u);
   EXPECT_EQ(adaptive_proportion_cutoff(1024, 1.0, 0x1p-7), 552u);
   EXPECT_EQ(adaptive_proportion_cutoff(512, 0.5, 0x1p-10), 394u);
+}
+
+/// The log-gamma critbinom the engine used before it stepped the pmf by
+/// its ratio recurrence: each term's log pmf from three log_gammas.
+std::uint32_t lgamma_proportion_cutoff(std::size_t window, double h_min,
+                                       double false_alarm) {
+  const double p = std::exp2(-h_min);
+  const double dn = static_cast<double>(window);
+  double tail = 0.0;
+  for (std::size_t j = window + 1; j-- > 0;) {
+    const double dk = static_cast<double>(j);
+    tail += std::exp(stats::log_gamma(dn + 1.0) - stats::log_gamma(dk + 1.0) -
+                     stats::log_gamma(dn - dk + 1.0) + dk * std::log(p) +
+                     (dn - dk) * std::log1p(-p));
+    if (tail > false_alarm) return static_cast<std::uint32_t>(1 + j);
+  }
+  return 1;
+}
+
+TEST(ContinuousHealthCutoffKat, RecurrenceMatchesLogGammaOnAWideGrid) {
+  // 7 windows x 12 entropies x 5 false-alarm rates = 420 cutoffs.
+  for (const std::size_t w : {16u, 64u, 256u, 512u, 1024u, 2048u, 4096u})
+    for (const double h : {0.02, 0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5, 0.6,
+                           0.75, 0.9, 1.0})
+      for (const double alpha : {0x1p-7, 0x1p-10, 0x1p-20, 0x1p-30, 0x1p-40})
+        EXPECT_EQ(adaptive_proportion_cutoff(w, h, alpha),
+                  lgamma_proportion_cutoff(w, h, alpha))
+            << "W " << w << " h " << h << " alpha " << alpha;
 }
 
 TEST(ContinuousHealthCutoffKat, RepetitionCutoffMonotoneInEntropy) {
