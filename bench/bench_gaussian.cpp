@@ -7,7 +7,6 @@
 // one table lookup on ~98.8% of draws).
 #include <benchmark/benchmark.h>
 
-#include <array>
 #include <cstdint>
 #include <iostream>
 #include <span>
@@ -78,24 +77,34 @@ BENCHMARK_CAPTURE(bm_gaussian_fill, ziggurat,
     ->Unit(benchmark::kMillisecond);
 
 // The lane kernel at the shape of a flicker bank's draw-ahead refill:
-// four Ziggurat streams advance in lockstep for 64 draws each, landing
-// interleaved (GaussianSampler::fill_lanes, ZigguratNormal::fill_lanes4).
-void bm_gaussian_fill_lanes(benchmark::State& state) {
+// `Streams` Ziggurat samplers advance in lockstep for 64 draws each,
+// landing in interleaved 4-stream packs (GaussianSampler::fill_packs,
+// ZigguratNormal::fill_packs). 4 streams is one pack on the 4-lane
+// kernel; 20, the paper bank's packed stages, is two 8-lane pairs (on
+// an AVX-512 host) and one 4-lane pack.
+template <std::size_t Streams>
+void bm_gaussian_packs(benchmark::State& state) {
   constexpr std::size_t kLaneDraws = 64;
-  std::array<GaussianSampler, 4> lanes;
-  for (std::size_t l = 0; l < lanes.size(); ++l)
-    lanes[l] = GaussianSampler(chunk_seed(0x9a55, l));
-  std::vector<double> block(4 * kLaneDraws);
+  std::vector<GaussianSampler> lanes;
+  for (std::size_t l = 0; l < Streams; ++l)
+    lanes.emplace_back(chunk_seed(0x9a55, l));
+  std::vector<double> block(Streams * kLaneDraws);
   for (auto _ : state) {
-    GaussianSampler::fill_lanes({&lanes[0], &lanes[1], &lanes[2], &lanes[3]},
-                                block);
+    GaussianSampler::fill_packs(lanes, block);
     benchmark::DoNotOptimize(block.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(block.size()));
 }
+void bm_gaussian_fill_lanes(benchmark::State& state) {
+  bm_gaussian_packs<4>(state);
+}
 BENCHMARK(bm_gaussian_fill_lanes);
+void bm_gaussian_fill_packs(benchmark::State& state) {
+  bm_gaussian_packs<20>(state);
+}
+BENCHMARK(bm_gaussian_fill_packs);
 
 // Pool-parallel fill: 8 fixed, independent chunk_seed streams each fill
 // 1/8 of the block one-per-task (§5 batched-noise rules), so the output

@@ -1,5 +1,6 @@
 #include "common/rng.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/ziggurat.hpp"
@@ -55,25 +56,35 @@ void GaussianSampler::fill(std::span<double> out) noexcept {
   polar_fill(out);
 }
 
-void GaussianSampler::fill_lanes(const std::array<GaussianSampler*, 4>& lanes,
+void GaussianSampler::fill_packs(std::span<GaussianSampler> samplers,
                                  std::span<double> out) noexcept {
-  const std::size_t n = out.size() / 4;
-  const bool all_ziggurat =
-      lanes[0]->method_ == Method::Ziggurat &&
-      lanes[1]->method_ == Method::Ziggurat &&
-      lanes[2]->method_ == Method::Ziggurat &&
-      lanes[3]->method_ == Method::Ziggurat;
-  if (all_ziggurat) {
-    ZigguratNormal::fill_lanes4(
-        {&lanes[0]->rng_, &lanes[1]->rng_, &lanes[2]->rng_, &lanes[3]->rng_},
-        n, out.data());
-    return;
+  if (samplers.empty()) return;
+  const std::size_t n = out.size() / samplers.size();
+  // Groups of up to two packs, the widest kernel's lane count, so the
+  // stream pointers fit a stack array.
+  constexpr std::size_t kGroup = 8;
+  for (std::size_t g = 0; g < samplers.size(); g += kGroup) {
+    const auto group =
+        samplers.subspan(g, std::min(kGroup, samplers.size() - g));
+    double* const block = out.data() + g * n;
+    const bool all_ziggurat =
+        std::all_of(group.begin(), group.end(), [](const auto& s) {
+          return s.method_ == Method::Ziggurat;
+        });
+    if (all_ziggurat) {
+      std::array<Xoshiro256pp*, kGroup> rngs{};
+      for (std::size_t l = 0; l < group.size(); ++l) rngs[l] = &group[l].rng_;
+      ZigguratNormal::fill_packs({rngs.data(), group.size()}, n, block);
+      continue;
+    }
+    // Polar (or mixed-method) samplers: scalar draws in the same layout.
+    // operator()() carries each sampler's pair cache, so every
+    // subsequence still matches stepping that sampler alone.
+    for (std::size_t p = 0; p < group.size(); p += 4)
+      for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t l = 0; l < 4; ++l)
+          block[p * n + 4 * i + l] = group[p + l]();
   }
-  // Polar (or mixed-method) lanes: scalar per-lane draws in the same
-  // interleaved layout. operator()() carries each lane's pair cache, so
-  // every lane subsequence still matches stepping that sampler alone.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t l = 0; l < 4; ++l) out[4 * i + l] = (*lanes[l])();
 }
 
 double GaussianSampler::polar_next() noexcept {

@@ -127,7 +127,10 @@ extern const std::array<double, 256> kZigguratWidth;
 
 /// Finishes a ziggurat draw whose first word `bits` missed the fast
 /// accept: the exact wedge and tail code (ziggurat.cpp), out of line.
-double ziggurat_finish(Xoshiro256pp& rng, std::uint64_t bits) noexcept;
+/// Never inlined, so it keeps the baseline ISA even when a lane kernel
+/// whose target brings FMA calls it for a missed lane.
+[[gnu::noinline]] double ziggurat_finish(Xoshiro256pp& rng,
+                                         std::uint64_t bits) noexcept;
 
 /// One N(0,1) ziggurat variate: one 64-bit word, one table lookup and
 /// one multiply on the fast path. The low 8 bits pick the layer, bit 8
@@ -185,17 +188,19 @@ class GaussianSampler {
   /// per variate).
   void fill(std::span<double> out) noexcept;
 
-  /// Multi-stream batched draws for the SIMD lane kernels: four
-  /// samplers advance in lockstep and their draws land interleaved,
-  /// out[i*4 + l] = the i-th draw of lanes[l] (out.size() must be a
-  /// multiple of 4). Each lane's subsequence is bit-identical to the
-  /// same number of operator()() calls on that sampler alone — lanes
-  /// own independent streams, so batching across them never reorders
-  /// any single stream. All four lanes must share one Method; the
-  /// ziggurat rides the vectorized common/simd kernel when
-  /// simd::active(), Polar always takes the scalar path (its rejection
-  /// loop has data-dependent stream consumption per lane).
-  static void fill_lanes(const std::array<GaussianSampler*, 4>& lanes,
+  /// Multi-stream batched draws for the SIMD lane kernels: the
+  /// samplers (a multiple of 4) advance in lockstep in 4-sampler packs,
+  /// written back to back. With n = out.size() / samplers.size(), pack p
+  /// sits at out[4*n*p ..], and its out[4*n*p + 4*i + l] is the i-th
+  /// draw of samplers[4*p + l]. Each sampler's subsequence is
+  /// bit-identical to the same number of operator()() calls on it alone
+  /// — samplers own independent streams, so batching across them never
+  /// reorders any single stream. Ziggurat samplers ride
+  /// ZigguratNormal::fill_packs (8-lane AVX-512 for pairs of packs, then
+  /// 4-lane, when simd::active()); Polar always takes the scalar path
+  /// (its rejection loop has data-dependent stream consumption per
+  /// lane).
+  static void fill_packs(std::span<GaussianSampler> samplers,
                          std::span<double> out) noexcept;
 
   /// One N(mean, stddev^2) sample.

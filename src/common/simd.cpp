@@ -46,6 +46,16 @@ bool probe_enabled() noexcept {
   return runtime_supported() && !env_disables_simd();
 }
 
+bool probe_avx512() noexcept {
+#if PTRNG_SIMD_AVX2
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0 &&
+         __builtin_cpu_supports("avx512vl") != 0;
+#else
+  return false;
+#endif
+}
+
 }  // namespace detail
 
 }  // namespace ptrng::simd

@@ -25,7 +25,9 @@
 // Runtime dispatch: active() is the one question kernels ask. It is
 // true only when (a) a vector backend was compiled in, (b) the CPU
 // supports it, (c) the environment does not say PTRNG_SIMD=off, and
-// (d) no ScopedForceScalar/force_scalar(true) is in effect.
+// (d) no ScopedForceScalar/force_scalar(true) is in effect. The one
+// 8-lane kernel (the ziggurat's, common/ziggurat.cpp) also asks
+// avx512_active(): active() and a CPU with AVX-512F/DQ/VL.
 #pragma once
 
 #include <atomic>
@@ -39,6 +41,11 @@
 // Per-function ISA targeting: the helpers below (and any kernel calling
 // them) compile for AVX2 without changing the translation unit's flags.
 #define PTRNG_SIMD_TARGET __attribute__((target("avx2")))
+// The 8-lane kernels' targeting. AVX-512F brings FMA with it in GCC, and
+// no target string takes it back out: such a kernel must keep its own
+// arithmetic free of mul-then-add and call its scalar code out of line.
+#define PTRNG_SIMD_TARGET_AVX512 \
+  __attribute__((target("avx512f,avx512dq,avx512vl")))
 #elif !defined(PTRNG_SIMD_DISABLED) && (defined(__GNUC__) || defined(__clang__)) && \
     defined(__aarch64__)
 #define PTRNG_SIMD_NEON 1
@@ -62,6 +69,9 @@ namespace detail {
 /// Backend compiled in, CPU support and the PTRNG_SIMD environment
 /// switch (simd.cpp); probed once, on the first active() call.
 [[nodiscard]] bool probe_enabled() noexcept;
+/// CPU support for AVX-512F/DQ/VL on the AVX2 backend (simd.cpp);
+/// probed once, on the first avx512_active() call.
+[[nodiscard]] bool probe_avx512() noexcept;
 /// In-process differential-test override (force_scalar).
 inline std::atomic<bool> g_force_scalar{false};
 }  // namespace detail
@@ -73,6 +83,14 @@ inline std::atomic<bool> g_force_scalar{false};
 [[nodiscard]] inline bool active() noexcept {
   static const bool enabled = detail::probe_enabled();
   return enabled && !detail::g_force_scalar.load(std::memory_order_relaxed);
+}
+
+/// True when active() and the CPU runs AVX-512F/DQ/VL: the gate of the
+/// 8-lane kernels, which only the AVX2 backend compiles. The scalar
+/// switches (PTRNG_SIMD=off, force_scalar) turn it off with active().
+[[nodiscard]] inline bool avx512_active() noexcept {
+  static const bool supported = detail::probe_avx512();
+  return supported && active();
 }
 
 /// In-process override used by differential tests and bench preambles:
@@ -184,6 +202,16 @@ PTRNG_SIMD_TARGET inline i64x4 rotl(i64x4 a) noexcept {
 PTRNG_SIMD_TARGET inline int lt_mask_i64(i64x4 a, i64x4 b) noexcept {
   return _mm256_movemask_pd(
       _mm256_castsi256_pd(_mm256_cmpgt_epi64(b.v, a.v)));
+}
+/// a with lane l (0..3) replaced by x: a blend under a lane-index
+/// compare, so the other lanes stay in the register.
+PTRNG_SIMD_TARGET inline i64x4 set_lane(i64x4 a, std::size_t l,
+                                        std::uint64_t x) noexcept {
+  const __m256i hit =
+      _mm256_cmpeq_epi64(_mm256_setr_epi64x(0, 1, 2, 3),
+                         _mm256_set1_epi64x(static_cast<long long>(l)));
+  return {_mm256_blendv_epi8(
+      a.v, _mm256_set1_epi64x(static_cast<long long>(x)), hit)};
 }
 PTRNG_SIMD_TARGET inline f64x4 gather4(const double* base,
                                        i64x4 idx) noexcept {
@@ -307,6 +335,15 @@ inline int lt_mask_i64(i64x4 a, i64x4 b) noexcept {
                           ((vgetq_lane_u64(mlo, 1) >> 63) << 1) |
                           ((vgetq_lane_u64(mhi, 0) >> 63) << 2) |
                           ((vgetq_lane_u64(mhi, 1) >> 63) << 3));
+}
+inline i64x4 set_lane(i64x4 a, std::size_t l, std::uint64_t x) noexcept {
+  // Lane-index compare and bit select: vsetq_lane needs a constant lane.
+  const uint64x2_t lane = vdupq_n_u64(l);
+  const uint64x2_t value = vdupq_n_u64(x);
+  const uint64x2_t lo_idx = {0, 1};
+  const uint64x2_t hi_idx = {2, 3};
+  return {vbslq_u64(vceqq_u64(lo_idx, lane), value, a.lo),
+          vbslq_u64(vceqq_u64(hi_idx, lane), value, a.hi)};
 }
 inline f64x4 gather4(const double* base, i64x4 idx) noexcept {
   return {
@@ -439,6 +476,10 @@ inline int lt_mask_i64(i64x4 a, i64x4 b) noexcept {
     if (static_cast<std::int64_t>(a.v[l]) < static_cast<std::int64_t>(b.v[l]))
       m |= 1 << l;
   return m;
+}
+inline i64x4 set_lane(i64x4 a, std::size_t l, std::uint64_t x) noexcept {
+  a.v[l] = x;
+  return a;
 }
 inline f64x4 gather4(const double* base, i64x4 idx) noexcept {
   f64x4 r;

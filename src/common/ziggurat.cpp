@@ -161,23 +161,31 @@ inline double draw_from_word(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
 }
 
 // ---------------------------------------------------------------------
-// Lane-parallel kernel: four xoshiro256++ states step struct-of-arrays
-// (one i64x4 per state word — integer rotate/shift/xor are exact, so
-// each lane's word sequence is the scalar generator's), the layer
-// tables are gathered per lane, and the fast-path accept test runs as
-// one signed 64-bit vector compare. Any lane that misses the ~98.5%
-// accept spills its state, finishes the draw through draw_from_word
-// (the EXACT scalar wedge/tail code, consuming that lane's stream
-// alone), and the states reload — per-lane output and stream
-// consumption are bit-identical to four scalar samplers.
+// Lane-parallel kernels: 4 or 8 xoshiro256++ states step struct-of-
+// arrays (one vector per state word; integer rotate/shift/xor are exact,
+// so each lane's word sequence is the scalar generator's), the layer
+// tables are gathered per lane, and the fast-path accept test is one
+// 64-bit vector compare. When a lane misses the ~98.5% accept, the
+// states go to memory once; each missed lane finishes its draw through
+// detail::ziggurat_finish (consuming that lane's stream alone) and its
+// new state is written back into the live registers, lane by lane.
+// Per-lane output and stream consumption are bit-identical to scalar
+// samplers.
 //
 // No fused multiply-add anywhere: the scalar path is built for the
-// baseline ISA (no FMA), so the kernel must round every mul/add
-// separately to stay bit-identical (common/simd.hpp header notes).
+// baseline ISA (no FMA), so the kernels must round every mul/add
+// separately to stay bit-identical (common/simd.hpp header notes). The
+// fast path has one multiply and no add; the slow path is
+// detail::ziggurat_finish, which is never inlined and so keeps the
+// baseline ISA: a kernel whose target brings FMA (AVX-512F does in GCC)
+// cannot contract the wedge test's mul-then-add.
 // ---------------------------------------------------------------------
-PTRNG_SIMD_TARGET void fill_lanes4_kernel(
-    const std::array<Xoshiro256pp*, 4>& rngs, std::size_t n,
-    double* out) noexcept {
+
+/// One 4-stream pack on the portable 4-lane layer: out[4*i + l] is the
+/// i-th draw of *rngs[l].
+PTRNG_SIMD_TARGET void fill_lanes4_kernel(Xoshiro256pp* const* rngs,
+                                          std::size_t n,
+                                          double* out) noexcept {
   alignas(32) std::uint64_t st[4][4];  // [state word][lane]
   for (std::size_t l = 0; l < 4; ++l) {
     const auto& s = rngs[l]->state();
@@ -206,35 +214,27 @@ PTRNG_SIMD_TARGET void fill_lanes4_kernel(
     const simd::f64x4 wi = simd::gather4(kTab.wi.data(), idx);
     const simd::i64x4 ki = simd::gather4(kTab.ki.data(), idx);
     const simd::f64x4 x = simd::u52_to_f64(rabs) * wi;
-    const simd::f64x4 res = simd::or_bits(x, sign);
+    simd::store4(out + 4 * i, simd::or_bits(x, sign));
     const int accept = simd::lt_mask_i64(rabs, ki);
-    if (accept == 0xf) {
-      simd::store4(out + 4 * i, res);
-      continue;
-    }
-    // Slow path: spill, finish missed lanes scalar, reload.
+    if (accept == 0xf) continue;
+    // Slow path: missed lanes overwrite their slot of the stored draws
+    // and are blended back into the state registers.
     simd::store4(st[0], s0);
     simd::store4(st[1], s1);
     simd::store4(st[2], s2);
     simd::store4(st[3], s3);
-    alignas(32) double fast[4];
-    simd::store4(fast, res);
     alignas(32) std::uint64_t words[4];
     simd::store4(words, word);
-    for (std::size_t l = 0; l < 4; ++l) {
-      if (accept & (1 << l)) {
-        out[4 * i + l] = fast[l];
-        continue;
-      }
-      Xoshiro256pp lane_rng({st[0][l], st[1][l], st[2][l], st[3][l]});
-      out[4 * i + l] = draw_from_word(lane_rng, words[l]);
-      const auto& ns = lane_rng.state();
-      for (std::size_t w = 0; w < 4; ++w) st[w][l] = ns[w];
+    for (unsigned miss = ~accept & 0xfu; miss != 0; miss &= miss - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(miss));
+      Xoshiro256pp lane({st[0][l], st[1][l], st[2][l], st[3][l]});
+      out[4 * i + l] = detail::ziggurat_finish(lane, words[l]);
+      const auto& ns = lane.state();
+      s0 = simd::set_lane(s0, l, ns[0]);
+      s1 = simd::set_lane(s1, l, ns[1]);
+      s2 = simd::set_lane(s2, l, ns[2]);
+      s3 = simd::set_lane(s3, l, ns[3]);
     }
-    s0 = simd::load4(st[0]);
-    s1 = simd::load4(st[1]);
-    s2 = simd::load4(st[2]);
-    s3 = simd::load4(st[3]);
   }
   simd::store4(st[0], s0);
   simd::store4(st[1], s1);
@@ -243,6 +243,91 @@ PTRNG_SIMD_TARGET void fill_lanes4_kernel(
   for (std::size_t l = 0; l < 4; ++l)
     rngs[l]->set_state({st[0][l], st[1][l], st[2][l], st[3][l]});
 }
+
+#if PTRNG_SIMD_AVX2
+// GCC 12's AVX-512 headers seed shift, rotate, gather and extract
+// results with an undefined vector and then warn that it may be used
+// uninitialized (GCC PR 105593); nothing here reads such a value.
+#if !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+/// Two packs at once on AVX-512: lanes 0-3 are the pack at `out`, lanes
+/// 4-7 the pack at out + 4*n, each in fill_lanes4_kernel's layout. The
+/// same steps as the 4-lane kernel, written straight in AVX-512
+/// intrinsics; a missed lane's new state returns to the registers by a
+/// masked broadcast.
+PTRNG_SIMD_TARGET_AVX512 void fill_lanes8_kernel(Xoshiro256pp* const* rngs,
+                                                 std::size_t n,
+                                                 double* out) noexcept {
+  alignas(64) std::uint64_t st[4][8];  // [state word][lane]
+  for (std::size_t l = 0; l < 8; ++l) {
+    const auto& s = rngs[l]->state();
+    for (std::size_t w = 0; w < 4; ++w) st[w][l] = s[w];
+  }
+  __m512i s0 = _mm512_load_si512(st[0]);
+  __m512i s1 = _mm512_load_si512(st[1]);
+  __m512i s2 = _mm512_load_si512(st[2]);
+  __m512i s3 = _mm512_load_si512(st[3]);
+  const __m512i idx_mask = _mm512_set1_epi64(0xff);
+  const __m512i sign_mask = _mm512_set1_epi64(0x100);
+  const __m512i rabs_mask = _mm512_set1_epi64(0xfffffffffffff);
+  double* const out_hi = out + 4 * n;
+  for (std::size_t i = 0; i < n; ++i) {
+    const __m512i word = _mm512_add_epi64(
+        _mm512_rol_epi64(_mm512_add_epi64(s0, s3), 23), s0);
+    const __m512i t = _mm512_slli_epi64(s1, 17);
+    s2 = _mm512_xor_si512(s2, s0);
+    s3 = _mm512_xor_si512(s3, s1);
+    s1 = _mm512_xor_si512(s1, s2);
+    s0 = _mm512_xor_si512(s0, s3);
+    s2 = _mm512_xor_si512(s2, t);
+    s3 = _mm512_rol_epi64(s3, 45);
+    const __m512i idx = _mm512_and_si512(word, idx_mask);
+    const __m512i sign =
+        _mm512_slli_epi64(_mm512_and_si512(word, sign_mask), 55);
+    const __m512i rabs =
+        _mm512_and_si512(_mm512_srli_epi64(word, 9), rabs_mask);
+    const __m512d wi = _mm512_i64gather_pd(idx, kTab.wi.data(), 8);
+    const __m512i ki = _mm512_i64gather_epi64(idx, kTab.ki.data(), 8);
+    // rabs < 2^52: the conversion is exact, as the scalar cast is.
+    const __m512d x = _mm512_mul_pd(_mm512_cvtepi64_pd(rabs), wi);
+    const __m512d res = _mm512_castsi512_pd(
+        _mm512_or_si512(_mm512_castpd_si512(x), sign));
+    _mm256_storeu_pd(out + 4 * i, _mm512_castpd512_pd256(res));
+    _mm256_storeu_pd(out_hi + 4 * i, _mm512_extractf64x4_pd(res, 1));
+    const unsigned accept = _mm512_cmplt_epi64_mask(rabs, ki);
+    if (accept == 0xff) continue;
+    _mm512_store_si512(st[0], s0);
+    _mm512_store_si512(st[1], s1);
+    _mm512_store_si512(st[2], s2);
+    _mm512_store_si512(st[3], s3);
+    alignas(64) std::uint64_t words[8];
+    _mm512_store_si512(words, word);
+    for (unsigned miss = ~accept & 0xffu; miss != 0; miss &= miss - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(miss));
+      Xoshiro256pp lane({st[0][l], st[1][l], st[2][l], st[3][l]});
+      (l < 4 ? out : out_hi)[4 * i + (l & 3)] =
+          detail::ziggurat_finish(lane, words[l]);
+      const auto& ns = lane.state();
+      const auto m = static_cast<__mmask8>(1u << l);
+      s0 = _mm512_mask_set1_epi64(s0, m, static_cast<long long>(ns[0]));
+      s1 = _mm512_mask_set1_epi64(s1, m, static_cast<long long>(ns[1]));
+      s2 = _mm512_mask_set1_epi64(s2, m, static_cast<long long>(ns[2]));
+      s3 = _mm512_mask_set1_epi64(s3, m, static_cast<long long>(ns[3]));
+    }
+  }
+  _mm512_store_si512(st[0], s0);
+  _mm512_store_si512(st[1], s1);
+  _mm512_store_si512(st[2], s2);
+  _mm512_store_si512(st[3], s3);
+  for (std::size_t l = 0; l < 8; ++l)
+    rngs[l]->set_state({st[0][l], st[1][l], st[2][l], st[3][l]});
+}
+#if !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+#endif
 
 }  // namespace
 
@@ -261,17 +346,28 @@ void ZigguratNormal::fill(Xoshiro256pp& rng, std::span<double> out) noexcept {
   for (auto& x : out) x = detail::ziggurat_draw(rng);
 }
 
-void ZigguratNormal::fill_lanes4(const std::array<Xoshiro256pp*, 4>& rngs,
-                                 std::size_t n, double* out) noexcept {
+void ZigguratNormal::fill_packs(std::span<Xoshiro256pp* const> rngs,
+                                std::size_t n, double* out) noexcept {
+  // Stream p starts pack p/4, whose draws begin at out + 4*n*(p/4).
+  std::size_t p = 0;
   if (simd::active()) {
-    fill_lanes4_kernel(rngs, n, out);
+#if PTRNG_SIMD_AVX2
+    if (simd::avx512_active())
+      for (; p + 8 <= rngs.size(); p += 8)
+        fill_lanes8_kernel(rngs.data() + p, n, out + p * n);
+#endif
+    for (; p < rngs.size(); p += 4)
+      fill_lanes4_kernel(rngs.data() + p, n, out + p * n);
     return;
   }
-  // Scalar fallback: same interleaved layout, same per-lane streams —
-  // the reference the kernel is differentially tested against.
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t l = 0; l < 4; ++l)
-      out[4 * i + l] = detail::ziggurat_draw(*rngs[l]);
+  // Scalar fallback: same layout, same per-lane streams — the reference
+  // the kernels are differentially tested against.
+  for (; p < rngs.size(); p += 4) {
+    double* const pack = out + p * n;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t l = 0; l < 4; ++l)
+        pack[4 * i + l] = detail::ziggurat_draw(*rngs[p + l]);
+  }
 }
 
 }  // namespace ptrng

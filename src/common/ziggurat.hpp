@@ -52,16 +52,18 @@ class ZigguratNormal {
   /// out.size() draw() calls.
   static void fill(Xoshiro256pp& rng, std::span<double> out) noexcept;
 
-  /// Four-stream lane-parallel draws: out[i*4 + l] = the i-th draw
-  /// from *rngs[l], with each lane bit-identical to n draw() calls on
-  /// that stream alone. When simd::active(), the four xoshiro states
-  /// step struct-of-arrays through the vectorized fast path (one
-  /// gather + compare per 4 draws, ~98.5% all-lane accept); lanes that
-  /// miss the fast accept spill their state and finish the draw through
-  /// the exact scalar wedge/tail code, so acceptance logic and stream
-  /// consumption per lane never diverge from the scalar sampler.
-  static void fill_lanes4(const std::array<Xoshiro256pp*, 4>& rngs,
-                          std::size_t n, double* out) noexcept;
+  /// Lane-parallel draws over rngs.size() streams, a multiple of 4, in
+  /// 4-stream packs written back to back: pack p at out + 4*n*p, its
+  /// draw i of lane l at 4*i + l, the i-th draw of *rngs[4*p + l]. Each
+  /// lane is bit-identical to n draw() calls on that stream alone. When
+  /// simd::active(), pairs of packs run through the 8-lane AVX-512
+  /// kernel if the CPU has AVX-512F/DQ/VL, and the rest through the
+  /// 4-lane kernel; both step the xoshiro states struct-of-arrays
+  /// through the vectorized fast path (~98.5% accept per lane), and a
+  /// lane that misses it finishes its draw through the exact scalar
+  /// wedge/tail code on its own stream. Otherwise every draw is scalar.
+  static void fill_packs(std::span<Xoshiro256pp* const> rngs, std::size_t n,
+                         double* out) noexcept;
 
   /// Access to the underlying uniform generator (e.g. for mixing streams).
   Xoshiro256pp& uniform_rng() noexcept { return rng_; }

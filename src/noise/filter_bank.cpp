@@ -1,6 +1,7 @@
 #include "noise/filter_bank.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/contracts.hpp"
@@ -37,7 +38,7 @@ constexpr std::size_t kInlineFillWork = 4096;
 
 // SIMD pack kernels (docs/ARCHITECTURE.md §5 "SIMD rules"). A pack is
 // 4 consecutive stages riding one vector lane-wise through time; their
-// Gaussians arrive interleaved from GaussianSampler::fill_lanes
+// Gaussians arrive interleaved from GaussianSampler::fill_packs
 // (z[4*i + lane]). No fused multiply-add: the scalar recurrence rounds
 // rho*x and drive*z separately, so the kernel must too.
 
@@ -273,16 +274,17 @@ void FilterBankFlicker::sum_states() noexcept {
 
 std::size_t FilterBankFlicker::take_ahead() {
   if (ahead_pos_ == kAhead) {
-    // Refill the drained block — packs through fill_lanes, the tail
-    // stage by stage. Each stage's stream is consumed strictly in order,
-    // so the buffered values are exactly what per-call draws would be.
+    // Refill the drained block: every full pack in one fill_packs call
+    // (the paper's 21-stage bank: two 8-lane pairs and one 4-lane pack),
+    // then the tail stage by stage. Each stage's stream is consumed
+    // strictly in order, so the buffered values are exactly what
+    // per-call draws would be. The tail stays scalar: padding a 1-stage
+    // tail with three dummy lanes into one more 8-lane group measured
+    // slower per eRO bit (ROADMAP item 6).
     const std::size_t n_stages = rho_.size();
     ahead_.resize(n_stages * kAhead);
-    for (std::size_t p = 0; p < packed_stages_; p += simd::kLanes) {
-      GaussianSampler::fill_lanes(
-          {&gauss_[p], &gauss_[p + 1], &gauss_[p + 2], &gauss_[p + 3]},
-          {ahead_.data() + p * kAhead, simd::kLanes * kAhead});
-    }
+    GaussianSampler::fill_packs(std::span(gauss_).first(packed_stages_),
+                                {ahead_.data(), packed_stages_ * kAhead});
     for (std::size_t s = packed_stages_; s < n_stages; ++s)
       gauss_[s].fill({ahead_.data() + s * kAhead, kAhead});
     ahead_pos_ = 0;
@@ -312,7 +314,7 @@ void FilterBankFlicker::fill(std::span<double> out) {
   out = out.subspan(drained);
   const std::size_t n_stages = rho_.size();
   // SIMD pack path (docs/ARCHITECTURE.md §5 "SIMD rules"): 4 stages per
-  // vector, lane-wise through time, fed interleaved by fill_lanes. Each
+  // vector, lane-wise through time, fed interleaved by fill_packs. Each
   // stage still consumes its own stream in next()'s order, so output is
   // bit-identical to the scalar path (and to stepping) at any thread
   // count; stages beyond the last full pack run the scalar per-stage
@@ -340,21 +342,23 @@ void FilterBankFlicker::fill(std::span<double> out) {
       if (t < n_packs) {
         const std::size_t s0 = simd::kLanes * t;
         double* const z = scratch_.data() + s0 * n;
-        GaussianSampler::fill_lanes(
-            {&gauss_[s0], &gauss_[s0 + 1], &gauss_[s0 + 2], &gauss_[s0 + 3]},
+        GaussianSampler::fill_packs(
+            std::span(gauss_).subspan(s0, simd::kLanes),
             {z, simd::kLanes * n});
         ar1_pack4(&rho_[s0], &drive_[s0], &state_[s0], z, n);
       } else if (pad_tail && t == n_packs) {
-        // Padded pack: 3 real stages + 1 dummy lane. The dummy draws
+        // Padded pack: 3 real stages + 1 dummy lane. The real stages
+        // draw through copies that are written back; the dummy draws
         // from a lane-local stream and its recurrence runs with
-        // rho = drive = 0; nothing of it survives the fold, so output
+        // rho = drive = 0. Nothing of it survives the fold, so output
         // matches the scalar tail bit for bit.
         const std::size_t s0 = simd::kLanes * n_packs;
         double* const z = scratch_.data() + s0 * n;
-        GaussianSampler dummy(0xd0d0'0000 + offset);
-        GaussianSampler::fill_lanes(
-            {&gauss_[s0], &gauss_[s0 + 1], &gauss_[s0 + 2], &dummy},
-            {z, simd::kLanes * n});
+        std::array<GaussianSampler, 4> pack{
+            gauss_[s0], gauss_[s0 + 1], gauss_[s0 + 2],
+            GaussianSampler(0xd0d0'0000 + offset)};
+        GaussianSampler::fill_packs(pack, {z, simd::kLanes * n});
+        std::copy_n(pack.begin(), 3, gauss_.begin() + s0);
         double rho_p[4] = {rho_[s0], rho_[s0 + 1], rho_[s0 + 2], 0.0};
         double drive_p[4] = {drive_[s0], drive_[s0 + 1], drive_[s0 + 2], 0.0};
         double state_p[4] = {state_[s0], state_[s0 + 1], state_[s0 + 2], 0.0};

@@ -145,7 +145,7 @@ class FilterBankFlicker final : public NoiseSource {
   /// Draw-ahead block: the next kAhead Gaussians of every stage, drawn
   /// ahead of use so next() and advance_sum() pay the batched SIMD draw
   /// cost instead of one scalar draw per stage per call. Stages in full
-  /// 4-stage packs sit interleaved as GaussianSampler::fill_lanes writes
+  /// 4-stage packs sit interleaved as GaussianSampler::fill_packs writes
   /// them (pack p at [4p*kAhead, 4(p+1)*kAhead), draw i of lane l at
   /// 4i + l); each tail stage s owns [s*kAhead, (s+1)*kAhead). Allocated
   /// on first use, so fill()-only generators never pay for it.

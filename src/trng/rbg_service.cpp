@@ -175,9 +175,10 @@ RandomByteService::Stream RandomByteService::open_stream(
       reinterpret_cast<const std::byte*>(pers_chars),
       sizeof(kStreamPersonalization) - 1};
   drbg.instantiate(root_seed_, nonce, personalization);
-  Stream stream(*this, consumer_id, std::move(drbg));
-  stream.epoch_seen_ = epoch();
-  return stream;
+  // The stream starts at epoch 0, before any recovery: opened after one,
+  // it takes a post-recovery ring block before its first byte instead of
+  // serving from the pre-failure root seed alone.
+  return Stream(*this, consumer_id, std::move(drbg));
 }
 
 void RandomByteService::acknowledge_failure() {

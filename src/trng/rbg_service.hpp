@@ -31,9 +31,12 @@
 //   failed       -> (engine total failure) producer parks; fill()
 //                   fails immediately. acknowledge_failure() routes
 //                   the engine reset THROUGH the producer thread,
-//                   which reseeds the root, bumps the epoch and only
-//                   then serves again — every stream is forced
-//                   through a fresh reseed before its next byte.
+//                   which drops the stale ring blocks, publishes one
+//                   fresh block, bumps the epoch and only then serves
+//                   again. The root seed is not redrawn; instead every
+//                   stream, also one opened after the recovery, is
+//                   forced through a reseed from a post-recovery ring
+//                   block before its next byte.
 #pragma once
 
 #include <atomic>
@@ -146,16 +149,19 @@ class RandomByteService {
   [[nodiscard]] Stream open_stream(std::uint64_t consumer_id);
 
   /// Operator acknowledgement after total failure: asks the PRODUCER
-  /// to reset the health engine, re-arm, reseed the root and bump the
-  /// reseed epoch; blocks until the producer has done so (or the
-  /// service is stopped). Every stream reseeds before its next byte.
+  /// to reset the health engine, drop the buffered bits and the queued
+  /// ring blocks, and pull one fresh block; if the engine stays nominal
+  /// it publishes that block and bumps the reseed epoch. Blocks until
+  /// the producer has done so (or the service is stopped). The root
+  /// seed is not redrawn: every stream, including one opened later,
+  /// reseeds from a post-recovery ring block before its next byte.
   void acknowledge_failure();
 
   [[nodiscard]] ServiceState state() const noexcept {
     return state_.load(std::memory_order_acquire);
   }
-  /// Reseed epoch: bumped on post-failure recovery. Streams lazily
-  /// follow it.
+  /// Reseed epoch: the number of post-failure recoveries, 0 until the
+  /// first. Streams start at epoch 0 and lazily follow it.
   [[nodiscard]] std::uint64_t epoch() const noexcept {
     return epoch_.load(std::memory_order_acquire);
   }
@@ -198,7 +204,7 @@ class RandomByteService {
   std::thread producer_;
   std::atomic<bool> running_{false};
   std::atomic<ServiceState> state_{ServiceState::kStopped};
-  std::atomic<std::uint64_t> epoch_{1};
+  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<bool> ack_requested_{false};
   std::atomic<std::uint64_t> blocks_produced_{0};
   std::atomic<std::uint64_t> blocks_discarded_{0};

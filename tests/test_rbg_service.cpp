@@ -4,9 +4,10 @@
 //    consumer scheduling, and distinct ids give distinct streams;
 //  * concurrent serving with reseeds riding the SPMC ring;
 //  * health gating: a forced total failure stops byte output (every
-//    fill fails) until acknowledge_failure() routes an engine reset +
-//    root reseed through the producer, after which streams are forced
-//    through a fresh reseed (epoch bump) before their next byte.
+//    fill fails) until acknowledge_failure() routes an engine reset
+//    through the producer, which drops the stale blocks and publishes a
+//    fresh one; the epoch bump then forces every stream, also one opened
+//    after the recovery, through a reseed before its next byte.
 // The TSan CI job runs this suite with PTRNG_SANITIZE=thread.
 #include <gtest/gtest.h>
 
@@ -216,14 +217,19 @@ TEST(RbgService, TotalFailureStopsOutputUntilAcknowledgeAndReseed) {
   EXPECT_EQ(stream.fill(buf), RandomByteService::FillStatus::kFailed);
 
   // Healthy again + acknowledged: the producer resets the engine,
-  // reseeds the root and bumps the epoch; the stream is forced through
-  // a reseed before its next byte.
+  // publishes a fresh block and bumps the epoch; the stream is forced
+  // through a reseed before its next byte.
   source.set_stuck(false);
   service.acknowledge_failure();
   EXPECT_EQ(service.state(), ServiceState::kNominal);
   EXPECT_EQ(service.epoch(), epoch_before + 1);
   ASSERT_EQ(stream.fill(buf), RandomByteService::FillStatus::kOk);
   EXPECT_EQ(stream.reseeds(), reseeds_before + 1);
+  // A stream opened after the recovery reseeds too: its first bytes
+  // must not come from the pre-failure root seed alone.
+  auto late = service.open_stream(2);
+  ASSERT_EQ(late.fill(buf), RandomByteService::FillStatus::kOk);
+  EXPECT_EQ(late.reseeds(), 1u);
   service.stop();
 }
 

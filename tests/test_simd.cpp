@@ -156,6 +156,22 @@ TEST(SimdOps, OrBitsInjectsSign) {
   EXPECT_EQ(out[3], 3.25);
 }
 
+PTRNG_SIMD_TARGET void run_set_lane(const std::uint64_t* in, std::size_t l,
+                                    std::uint64_t x, std::uint64_t* out) {
+  simd::store4(out, simd::set_lane(simd::load4(in), l, x));
+}
+
+TEST(SimdOps, SetLaneReplacesOneLane) {
+  SKIP_UNLESS_VECTOR_ACTIVE();
+  const std::uint64_t in[4] = {1, 2, 3, 4};
+  for (std::size_t l = 0; l < 4; ++l) {
+    std::uint64_t out[4];
+    run_set_lane(in, l, ~0ULL, out);
+    for (std::size_t k = 0; k < 4; ++k)
+      EXPECT_EQ(out[k], k == l ? ~0ULL : in[k]) << "lane " << l;
+  }
+}
+
 TEST(SimdOps, ArithmeticMatchesScalarLaneWise) {
   SKIP_UNLESS_VECTOR_ACTIVE();
   const double a[4] = {1.3, -2.7, 1e300, 5e-324};
@@ -182,23 +198,58 @@ TEST(SimdOps, ForceScalarToggle) {
 }
 
 // ---------------------------------------------------------------------
-// GaussianSampler::fill_lanes differential tests.
+// GaussianSampler::fill_packs differential tests. With SIMD active, pairs
+// of packs take the 8-lane AVX-512 kernel where the CPU has it and the
+// odd pack the 4-lane kernel; every draw must match scalar draws.
 // ---------------------------------------------------------------------
+
+std::vector<GaussianSampler> samplers_for(GaussianSampler::Method method,
+                                          std::size_t count) {
+  std::vector<GaussianSampler> samplers;
+  for (std::size_t l = 0; l < count; ++l)
+    samplers.emplace_back(11 * (l + 1), method);
+  return samplers;
+}
+
+/// fill_packs over `count` samplers, then one more operator()() round in
+/// sampler order, so the post-fill states are compared too.
+std::vector<double> packs_fill(GaussianSampler::Method method,
+                               std::size_t count, std::size_t n, bool force) {
+  auto samplers = samplers_for(method, count);
+  std::vector<double> out(count * n);
+  std::optional<simd::ScopedForceScalar> guard;
+  if (force) guard.emplace();
+  GaussianSampler::fill_packs(samplers, out);
+  for (auto& s : samplers) out.push_back(s());
+  return out;
+}
+
+/// The same draws from per-sampler scalar operator()() calls, in
+/// fill_packs' layout, as bit patterns.
+std::vector<std::uint64_t> per_lane_reference(GaussianSampler::Method method,
+                                              std::size_t count,
+                                              std::size_t n) {
+  auto samplers = samplers_for(method, count);
+  std::vector<std::uint64_t> ref(count * n + count);
+  for (std::size_t s = 0; s < count; ++s) {
+    const std::size_t pack = s / 4 * 4 * n;
+    for (std::size_t i = 0; i < n; ++i)
+      ref[pack + 4 * i + s % 4] = std::bit_cast<std::uint64_t>(samplers[s]());
+    ref[count * n + s] = std::bit_cast<std::uint64_t>(samplers[s]());
+  }
+  return ref;
+}
+
+std::vector<std::uint64_t> bit_patterns(const std::vector<double>& v) {
+  std::vector<std::uint64_t> bits(v.size());
+  std::transform(v.begin(), v.end(), bits.begin(),
+                 [](double x) { return std::bit_cast<std::uint64_t>(x); });
+  return bits;
+}
 
 std::vector<double> lanes_fill(GaussianSampler::Method method, std::size_t n,
                                bool force) {
-  std::array<GaussianSampler, 4> samplers{
-      GaussianSampler(11, method), GaussianSampler(22, method),
-      GaussianSampler(33, method), GaussianSampler(44, method)};
-  const std::array<GaussianSampler*, 4> lanes{&samplers[0], &samplers[1],
-                                              &samplers[2], &samplers[3]};
-  std::vector<double> out(4 * n);
-  std::optional<simd::ScopedForceScalar> guard;
-  if (force) guard.emplace();
-  GaussianSampler::fill_lanes(lanes, out);
-  // Post-fill state must match too: one more interleaved round.
-  for (std::size_t l = 0; l < 4; ++l) out.push_back((*lanes[l])());
-  return out;
+  return packs_fill(method, 4, n, force);
 }
 
 TEST(FillLanes, ZigguratSimdMatchesScalarFallback) {
@@ -214,15 +265,73 @@ TEST(FillLanes, MatchesIndependentPerLaneDraws) {
   const std::size_t n = 5000;
   for (auto method : {GaussianSampler::Method::Ziggurat,
                       GaussianSampler::Method::Polar}) {
-    const auto out = lanes_fill(method, n, false);
-    std::array<GaussianSampler, 4> ref{
-        GaussianSampler(11, method), GaussianSampler(22, method),
-        GaussianSampler(33, method), GaussianSampler(44, method)};
-    for (std::size_t i = 0; i <= n; ++i)  // <= n covers the post-fill round
-      for (std::size_t l = 0; l < 4; ++l)
-        ASSERT_EQ(out[4 * i + l], ref[l]())
-            << "method=" << static_cast<int>(method) << " i=" << i
-            << " lane=" << l;
+    EXPECT_EQ(bit_patterns(lanes_fill(method, n, false)),
+              per_lane_reference(method, 4, n))
+        << "method=" << static_cast<int>(method);
+  }
+}
+
+TEST(FillPacks, ZigguratMatchesPerLaneScalarDrawsAtEveryShape) {
+  // 4 and 12 samplers leave an odd pack, 8 and 24 only pairs, 20 (the
+  // paper bank's packed stages) two pairs and an odd pack.
+  for (const std::size_t count : {4u, 8u, 12u, 20u, 24u}) {
+    for (const std::size_t n : {1u, 63u, 64u, 65u, 100'000u}) {
+      const auto ref =
+          per_lane_reference(GaussianSampler::Method::Ziggurat, count, n);
+      for (const bool force : {false, true}) {
+        ASSERT_EQ(bit_patterns(packs_fill(GaussianSampler::Method::Ziggurat,
+                                          count, n, force)),
+                  ref)
+            << "samplers=" << count << " n=" << n << " forced=" << force;
+      }
+    }
+  }
+}
+
+TEST(FillPacks, PolarAndMixedPacksMatchPerLaneScalarDraws) {
+  EXPECT_EQ(bit_patterns(packs_fill(GaussianSampler::Method::Polar, 12, 65,
+                                    false)),
+            per_lane_reference(GaussianSampler::Method::Polar, 12, 65));
+  // One Polar sampler in the second pack sends its group of 8 down the
+  // scalar path; the third pack still rides the kernel.
+  auto mixed = samplers_for(GaussianSampler::Method::Ziggurat, 12);
+  auto ref = samplers_for(GaussianSampler::Method::Ziggurat, 12);
+  mixed[5] = GaussianSampler(66, GaussianSampler::Method::Polar);
+  ref[5] = mixed[5];
+  const std::size_t n = 1000;
+  std::vector<double> out(12 * n);
+  GaussianSampler::fill_packs(mixed, out);
+  for (std::size_t s = 0; s < 12; ++s)
+    for (std::size_t i = 0; i < n; ++i)
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(out[s / 4 * 4 * n + 4 * i + s % 4]),
+                std::bit_cast<std::uint64_t>(ref[s]()))
+          << "sampler " << s << " draw " << i;
+}
+
+TEST(FillPacks, LongFillsCrossTheWedgeAndTheTail) {
+  // A scalar replay of one lane's n = 100000 draws: the kernel matched
+  // them bit for bit above, so its slow path ran wherever a first word
+  // missed the fast accept. Layer 0 misses go to the tail, the others to
+  // the wedge, and both consume words beyond the first.
+  constexpr std::size_t n = 100'000;
+  for (const std::size_t lane : {0u, 5u, 19u}) {
+    Xoshiro256pp rng = GaussianSampler(11 * (lane + 1)).uniform_rng();
+    const Xoshiro256pp start = rng;
+    std::size_t wedge = 0, tail = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      Xoshiro256pp peek = rng;
+      const std::uint64_t bits = peek.next();
+      const std::size_t idx = bits & 0xffu;
+      if (((bits >> 9) & 0xfffffffffffffULL) >= detail::kZigguratAccept[idx])
+        ++(idx == 0 ? tail : wedge);
+      (void)detail::ziggurat_draw(rng);
+    }
+    std::size_t words = 0;
+    for (Xoshiro256pp count = start; count.state() != rng.state(); ++words)
+      count.next();
+    EXPECT_GT(words, n) << "lane " << lane;
+    EXPECT_GT(wedge, 0u) << "lane " << lane;
+    EXPECT_GT(tail, 0u) << "lane " << lane;
   }
 }
 
@@ -234,11 +343,12 @@ TEST(FillLanes, MatchesIndependentPerLaneDraws) {
 // full packs, scalar tails (1-2 stages) and the padded 3-stage tail.
 // ---------------------------------------------------------------------
 
-noise::FilterBankFlicker::Config bank_config(unsigned spd) {
+noise::FilterBankFlicker::Config bank_config(unsigned spd,
+                                             double f_min = 5e-7) {
   noise::FilterBankFlicker::Config cfg;
   cfg.amplitude = 1e-2;
   cfg.fs = 1.0;
-  cfg.f_min = 5e-7;
+  cfg.f_min = f_min;
   cfg.f_max = 0.25;
   cfg.seed = 0xbac2;
   cfg.stages_per_decade = spd;
@@ -247,9 +357,10 @@ noise::FilterBankFlicker::Config bank_config(unsigned spd) {
 
 /// Every double a bank run produces, as bit patterns: the comparison is
 /// bitwise, so -0.0 against +0.0 or a NaN payload would show too.
-std::vector<std::uint64_t> bank_run(unsigned spd, bool force,
-                                    std::size_t threads) {
-  noise::FilterBankFlicker bank(bank_config(spd));
+std::vector<std::uint64_t> bank_run(
+    const noise::FilterBankFlicker::Config& config, bool force,
+    std::size_t threads) {
+  noise::FilterBankFlicker bank(config);
   std::optional<simd::ScopedForceScalar> guard;
   if (force) guard.emplace();
   ThreadPool::global().resize(threads);
@@ -299,18 +410,28 @@ TEST(FilterBankSimd, FillMatchesScalarFallbackAcrossStageRemainders) {
   for (unsigned spd : {1u, 2u, 3u, 4u, 5u, 6u}) {
     remainders.insert(
         noise::FilterBankFlicker(bank_config(spd)).stage_count() % 4);
-    EXPECT_EQ(bank_run(spd, false, 1), bank_run(spd, true, 1))
+    EXPECT_EQ(bank_run(bank_config(spd), false, 1),
+              bank_run(bank_config(spd), true, 1))
         << "stages_per_decade=" << spd;
   }
   // The sweep must actually exercise several pack-tail shapes.
   EXPECT_GE(remainders.size(), 3u);
 }
 
+TEST(FilterBankSimd, PaperShapedBankMatchesScalarFallback) {
+  // 21 stages, as in the paper's bank: the draw-ahead refill runs two
+  // pairs of packs, one odd pack and one scalar tail stage.
+  const auto cfg = bank_config(4, 3e-6);
+  ASSERT_EQ(noise::FilterBankFlicker(cfg).stage_count(), 21u);
+  EXPECT_EQ(bank_run(cfg, false, 1), bank_run(cfg, true, 1));
+}
+
 TEST(FilterBankSimd, FillIndependentOfThreadCount) {
-  const auto ref = bank_run(3, false, 1);
-  EXPECT_EQ(ref, bank_run(3, false, 2));
-  EXPECT_EQ(ref, bank_run(3, false, 8));
-  EXPECT_EQ(ref, bank_run(3, true, 8));
+  const auto cfg = bank_config(3);
+  const auto ref = bank_run(cfg, false, 1);
+  EXPECT_EQ(ref, bank_run(cfg, false, 2));
+  EXPECT_EQ(ref, bank_run(cfg, false, 8));
+  EXPECT_EQ(ref, bank_run(cfg, true, 8));
 }
 
 TEST(FilterBankSimd, AdvanceSumMemoStableAcrossCacheWrap) {
