@@ -8,11 +8,10 @@
 
 #include <iostream>
 #include <numeric>
-#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/math_utils.hpp"
-#include "common/simd.hpp"
 #include "common/table.hpp"
 #include "measurement/counter.hpp"
 #include "measurement/sigma_n_estimator.hpp"
@@ -62,33 +61,34 @@ void print_comparison() {
                "estimator in simulation.\n\n";
 }
 
-// Bit-identity preamble (docs/ARCHITECTURE.md §5 "SIMD rules"): the
-// vectorized window loop must produce the same counts as the forced
-// scalar fallback — including across a split run (buffered-edge carry)
-// — and every realized osc1 period must be accounted for exactly:
-// sum(counts) == cycle_count - buffered_edges.
-bool verify_counter_determinism() {
-  auto counts_run = [](bool force_scalar) {
+// Count preamble: on fresh rings every osc1 edge after the first is
+// counted in some window except the bracket's upper edge past the last
+// window end (sum(counts) + 1 == cycle_count), across re-entry at a new
+// window length, and a run split over several calls counts exactly what
+// one call does.
+bool verify_counter_counts() {
+  auto counts_run = [](std::size_t splits) {
     auto c1 = paper_single_config(0xa1);
     auto c2 = paper_single_config(0xa2);
     c1.mismatch = 1.5e-3;
     RingOscillator osc1(c1), osc2(c2);
     measurement::DifferentialCounter counter(osc1, osc2);
-    std::optional<ptrng::simd::ScopedForceScalar> guard;
-    if (force_scalar) guard.emplace();
-    auto counts = counter.count_windows(1000, 97);  // part 1
-    auto more = counter.count_windows(500, 61);     // re-entry, new N
+    std::vector<std::int64_t> counts;
+    for (std::size_t s = 0; s < splits; ++s) {
+      const auto part = counter.count_windows(1000, 96 / splits);
+      counts.insert(counts.end(), part.begin(), part.end());
+    }
+    const auto more = counter.count_windows(500, 61);  // re-entry, new N
     counts.insert(counts.end(), more.begin(), more.end());
     const auto total =
         std::accumulate(counts.begin(), counts.end(), std::int64_t{0});
     const bool conserved =
-        static_cast<std::uint64_t>(total) + counter.buffered_edges() ==
-        osc1.cycle_count();
+        static_cast<std::uint64_t>(total) + 1 == osc1.cycle_count();
     return std::pair{counts, conserved};
   };
-  const auto [simd_counts, simd_ok] = counts_run(false);
-  const auto [scalar_counts, scalar_ok] = counts_run(true);
-  return simd_ok && scalar_ok && simd_counts == scalar_counts;
+  const auto [whole_counts, whole_ok] = counts_run(1);
+  const auto [split_counts, split_ok] = counts_run(3);
+  return whole_ok && split_ok && whole_counts == split_counts;
 }
 
 void bm_counter_window(benchmark::State& state) {
@@ -104,31 +104,14 @@ void bm_counter_window(benchmark::State& state) {
 }
 BENCHMARK(bm_counter_window)->Unit(benchmark::kMillisecond);
 
-// Same windows with the vector compare kernel forced down to the scalar
-// fallback — the SIMD speedup on the boundary-resolution path is
-// bm_counter_window over this row.
-void bm_counter_window_scalar(benchmark::State& state) {
-  ptrng::simd::ScopedForceScalar force;
-  auto c1 = paper_single_config(1);
-  auto c2 = paper_single_config(2);
-  c1.mismatch = 1.5e-3;
-  RingOscillator osc1(c1), osc2(c2);
-  measurement::DifferentialCounter counter(osc1, osc2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(counter.count_windows(1000, 10));
-  }
-  state.SetItemsProcessed(state.iterations() * 10'000);
-}
-BENCHMARK(bm_counter_window_scalar)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool deterministic = verify_counter_determinism();
-  std::cout << "counter determinism (SIMD vs forced-scalar counts, "
-               "buffered-edge carry, exact count conservation): "
-            << (deterministic ? "OK" : "FAILED") << "\n\n";
-  if (!deterministic) return 1;  // fail bench-smoke, timings untrustworthy
+  const bool counts_ok = verify_counter_counts();
+  std::cout << "counter counts (exact count conservation, split-run "
+               "identity): "
+            << (counts_ok ? "OK" : "FAILED") << "\n\n";
+  if (!counts_ok) return 1;  // fail bench-smoke, timings untrustworthy
   print_comparison();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

@@ -1,7 +1,7 @@
 // Portable fixed-width SIMD layer: 4-lane f64/i64 vectors with three
 // compile-time backends — AVX2 on x86-64, NEON on aarch64, and a
 // loop-based scalar fallback — behind one API, so the hot kernels
-// (ziggurat lanes, AR(1) packs, counter window compares) are written
+// (ziggurat lanes, AR(1) packs) are written
 // once against `f64x4`/`i64x4` and compile everywhere.
 //
 // Backend selection and bit-identity rules:
@@ -146,11 +146,6 @@ PTRNG_SIMD_TARGET inline f64x4 operator-(f64x4 a, f64x4 b) noexcept {
 PTRNG_SIMD_TARGET inline f64x4 operator*(f64x4 a, f64x4 b) noexcept {
   return {_mm256_mul_pd(a.v, b.v)};
 }
-/// 4-bit mask, bit l set iff a[l] < b[l] (ordered, quiet — the scalar
-/// `<` on non-NaN data).
-PTRNG_SIMD_TARGET inline int lt_mask(f64x4 a, f64x4 b) noexcept {
-  return _mm256_movemask_pd(_mm256_cmp_pd(a.v, b.v, _CMP_LT_OQ));
-}
 /// In-place 4x4 transpose: rows (a,b,c,d) become columns.
 PTRNG_SIMD_TARGET inline void transpose4(f64x4& a, f64x4& b, f64x4& c,
                                          f64x4& d) noexcept {
@@ -268,14 +263,6 @@ inline f64x4 operator-(f64x4 a, f64x4 b) noexcept {
 }
 inline f64x4 operator*(f64x4 a, f64x4 b) noexcept {
   return {vmulq_f64(a.lo, b.lo), vmulq_f64(a.hi, b.hi)};
-}
-inline int lt_mask(f64x4 a, f64x4 b) noexcept {
-  const uint64x2_t mlo = vcltq_f64(a.lo, b.lo);
-  const uint64x2_t mhi = vcltq_f64(a.hi, b.hi);
-  return static_cast<int>((vgetq_lane_u64(mlo, 0) >> 63) |
-                          ((vgetq_lane_u64(mlo, 1) >> 63) << 1) |
-                          ((vgetq_lane_u64(mhi, 0) >> 63) << 2) |
-                          ((vgetq_lane_u64(mhi, 1) >> 63) << 3));
 }
 inline void transpose4(f64x4& a, f64x4& b, f64x4& c, f64x4& d) noexcept {
   const float64x2_t c0l = vzip1q_f64(a.lo, b.lo);
@@ -410,12 +397,6 @@ inline f64x4 operator*(f64x4 a, f64x4 b) noexcept {
   f64x4 r;
   for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = a.v[l] * b.v[l];
   return r;
-}
-inline int lt_mask(f64x4 a, f64x4 b) noexcept {
-  int m = 0;
-  for (std::size_t l = 0; l < kLanes; ++l)
-    if (a.v[l] < b.v[l]) m |= 1 << l;
-  return m;
 }
 inline void transpose4(f64x4& a, f64x4& b, f64x4& c, f64x4& d) noexcept {
   f64x4* rows[kLanes] = {&a, &b, &c, &d};

@@ -9,13 +9,15 @@
 // the regime where it matters are characterized by
 // bench_counter_vs_direct (docs/ARCHITECTURE.md §3).
 //
-// The window loop is batch-first (PR 8): far from a window boundary
-// osc1 jumps whole blocks (every skipped period is a counted edge);
-// near the boundary it realizes a block of edges via
-// RingOscillator::next_edges and attributes them with a vectorized
-// prefix-count (common/simd), carrying unconsumed edges into the next
-// window. The +-1-count quantization semantics are exact — every edge
-// is attributed to the window whose end time first exceeds it.
+// Each window end is one RingOscillator::advance_to_block of osc1 (the
+// same exact-in-law jump-then-step advance the TRNGs sample with), and
+// the count is how many osc1 cycles the bracket's lower edge moved. An
+// edge strictly before the window end is counted in that window; one
+// exactly at the end belongs to the next. For fresh rings, once
+// count_windows has run, over all its calls:
+//   sum(counts) + 1 == osc1.cycle_count()
+// (the one uncounted edge is the bracket's upper edge, past the last
+// window end).
 #pragma once
 
 #include <cstddef>
@@ -30,6 +32,9 @@ namespace ptrng::measurement {
 class DifferentialCounter {
  public:
   /// Non-owning references; the oscillators advance as windows are taken.
+  /// The counter owns osc1's advance from here on: nothing else may
+  /// advance osc1 between count_windows calls (the next call's
+  /// advance_to_block throws ContractViolation if it did).
   DifferentialCounter(oscillator::RingOscillator& osc1,
                       oscillator::RingOscillator& osc2);
 
@@ -47,21 +52,12 @@ class DifferentialCounter {
   /// streaming accumulation (no s_N staging vector).
   [[nodiscard]] double sigma2_n(std::size_t n_cycles, std::size_t n_windows);
 
-  /// Realized osc1 edges buffered beyond the last closed window. Every
-  /// generated osc1 period is either attributed to some window or still
-  /// buffered, so across any count_windows history:
-  ///   sum(counts) == osc1.cycle_count() - buffered_edges().
-  [[nodiscard]] std::size_t buffered_edges() const noexcept {
-    return edges_.size() - edge_pos_;
-  }
-
  private:
   oscillator::RingOscillator& osc1_;
   oscillator::RingOscillator& osc2_;
-  /// Realized osc1 edge times not yet attributed to a window
-  /// (ascending; [edge_pos_, size) is the live tail).
-  std::vector<double> edges_;
-  std::size_t edge_pos_ = 0;
+  /// osc1's edges around the instant just below the last window end.
+  oscillator::EdgeBracket bracket_;
+  std::uint64_t prev_cycle_;  ///< osc1 cycle index of bracket_.prev
 };
 
 }  // namespace ptrng::measurement

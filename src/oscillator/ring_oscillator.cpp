@@ -160,34 +160,6 @@ void RingOscillator::next_periods(std::span<PeriodSample> out) {
   cycles_ += out.size();
 }
 
-void RingOscillator::next_edges(std::span<double> out) {
-  if (out.empty()) return;
-  if (modulated()) {
-    // Each period's scale depends on its start edge; no batch shortcut.
-    for (auto& t : out) {
-      next_period();
-      t = edge_time_.value();
-    }
-    return;
-  }
-  thermal_scratch_.resize(out.size());
-  gauss_.fill(thermal_scratch_);
-  if (flicker_) {
-    flicker_scratch_.resize(out.size());
-    flicker_->fill(flicker_scratch_);
-  }
-  // Same per-period arithmetic and Kahan accumulation as next_period:
-  // t_nom + thermal + flicker in that order, one compensated add per
-  // edge, reading the running value after each.
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const double th = sigma_th_ * thermal_scratch_[i];
-    const double fl = flicker_ ? flicker_scratch_[i] : 0.0;
-    edge_time_.add(t_nom_ + th + fl);
-    out[i] = edge_time_.value();
-  }
-  cycles_ += out.size();
-}
-
 void RingOscillator::advance_periods(std::uint64_t k) {
   if (k == 0) return;
   if (k < 8) {

@@ -174,14 +174,6 @@ class RingOscillator {
   /// scale depends on its start edge).
   void next_periods(std::span<PeriodSample> out);
 
-  /// Batched edge realization for boundary-resolution consumers (the
-  /// differential counter): appends out.size() periods and writes the
-  /// absolute rising-edge time after each one into out — bit-identical
-  /// to out.size() next_period() calls reading edge_time() after each
-  /// (same per-edge compensated accumulation, same stream consumption
-  /// as next_periods). Falls back to stepping when modulated.
-  void next_edges(std::span<double> out);
-
   /// Fast path: advances `k` periods in O(flicker stages) time — the
   /// thermal sum is one Gaussian draw, the flicker sum comes from the
   /// filter bank's exact block advance. Statistically indistinguishable

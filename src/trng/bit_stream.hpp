@@ -24,7 +24,6 @@
 #pragma once
 
 #include <algorithm>
-#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -104,22 +103,6 @@ class BitTransform {
   /// Human-readable stage name for reports.
   [[nodiscard]] virtual const char* name() const noexcept = 0;
 };
-
-/// The unified output-path shape (PR 7 API redesign): anything with the
-/// streaming push/reset/name contract of BitTransform composes into the
-/// output path — algebraic post-processing and the conditioner's
-/// streaming stage (ConditioningTransform in trng/conditioning.hpp) both
-/// satisfy it, so neither is a special case. Static interface counterpart of the
-/// runtime BitTransform base; conditioning.cpp static_asserts the
-/// non-template stages against it.
-template <typename T>
-concept OutputStage =
-    requires(T stage, std::span<const std::uint8_t> in,
-             std::vector<std::uint8_t>& out) {
-      { stage.push(in, out) } -> std::same_as<void>;
-      { stage.reset() } -> std::same_as<void>;
-      { stage.name() } -> std::convertible_to<const char*>;
-    };
 
 /// A passive observer of the pipeline's RAW bit stream (before any
 /// transform): the thermal-noise online test, the continuous-health

@@ -7,12 +7,6 @@
 
 namespace ptrng::trng {
 
-// The PR-7 output-path contract: post-processing and the conditioner
-// share the streaming push/reset/name shape.
-static_assert(OutputStage<XorDecimateTransform>);
-static_assert(OutputStage<VonNeumannTransform>);
-static_assert(OutputStage<ConditioningTransform>);
-
 // --- Hash_df --------------------------------------------------------------
 
 void hash_df(std::span<const std::span<const std::byte>> parts,

@@ -14,7 +14,7 @@
 //                     out — the accounting the paper's H > 0.997
 //                     per-raw-bit claim feeds into.
 //  * ConditioningTransform — the same operation as a streaming
-//                     pipeline stage (BitTransform / OutputStage).
+//                     pipeline stage (a BitTransform).
 //  * EntropyAccountingTap  — a TapStage that only keeps the ledger
 //                     (for pipelines that condition elsewhere).
 //  * HashDrbg       — SP 800-90A §10.1.1 Hash_DRBG on SHA-256
@@ -129,9 +129,7 @@ class HashConditioner {
 /// CONDITIONED bits (unpacked MSB-first, so it composes inside a bit
 /// Pipeline like any other transform). Bits buffer across pushes until
 /// one conditioned block's worth of input entropy has arrived; reset()
-/// drops the open buffer. Satisfies OutputStage (asserted in
-/// conditioning.cpp) — post-processing, health taps and conditioning
-/// share one output-path shape.
+/// drops the open buffer.
 class ConditioningTransform final : public BitTransform {
  public:
   explicit ConditioningTransform(const ConditionerConfig& config);

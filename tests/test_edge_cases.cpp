@@ -1,11 +1,13 @@
-// Focused edge-case tests: counter zero-count windows, the theta-series /
-// wrapped-Gaussian switchover in bit_probability, sigma^2_N confidence-
-// interval coverage, and entropy bound consistency.
+// Focused edge-case tests: counter zero-count windows and osc1
+// ownership, the theta-series / wrapped-Gaussian switchover in
+// bit_probability, sigma^2_N confidence-interval coverage, and entropy
+// bound consistency.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "common/contracts.hpp"
 #include "common/rng.hpp"
 #include "measurement/counter.hpp"
 #include "measurement/sigma_n_estimator.hpp"
@@ -59,6 +61,18 @@ TEST(CounterEdgeCases, SingleCycleWindows) {
   }
   mean /= static_cast<double>(counts.size());
   EXPECT_NEAR(mean, 1.0, 0.05);
+}
+
+TEST(CounterEdgeCases, AdvancingOsc1BetweenCallsIsAContractViolation) {
+  // The counter owns osc1's advance: a period stepped by anyone else
+  // between count_windows calls leaves its bracket stale.
+  auto c1 = oscillator::paper_single_config(5);
+  auto c2 = oscillator::paper_single_config(6);
+  oscillator::RingOscillator osc1(c1), osc2(c2);
+  measurement::DifferentialCounter counter(osc1, osc2);
+  (void)counter.count_windows(100, 3);
+  (void)osc1.next_period();
+  EXPECT_THROW((void)counter.count_windows(100, 3), ContractViolation);
 }
 
 TEST(BitProbability, ContinuousAcrossRepresentationSwitch) {

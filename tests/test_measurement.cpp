@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -180,26 +181,69 @@ TEST(Counter, CountsNominalFrequencyRatio) {
   for (auto q : counts) EXPECT_NEAR(static_cast<double>(q), 200.0, 1.5);
 }
 
+TEST(Counter, WindowEndTieGoesToNextWindow) {
+  // Noise-free rings at 2^27 and 2^26 Hz: every edge time is exact in
+  // binary, and each window end falls exactly on an osc1 edge. That edge
+  // belongs to the next window, so the first window of the run counts
+  // 2N - 1 and every later one 2N, across re-entry at a new N.
+  oscillator::RingOscillatorConfig fast, slow;
+  fast.f0 = 0x1p27;
+  fast.b_th = 0.0;
+  fast.b_fl = 0.0;
+  slow.f0 = 0x1p26;
+  slow.b_th = 0.0;
+  slow.b_fl = 0.0;
+  oscillator::RingOscillator osc1(fast), osc2(slow);
+  DifferentialCounter counter(osc1, osc2);
+  bool first = true;
+  for (std::int64_t n : {1, 5, 100, 1000}) {
+    std::vector<std::int64_t> expected(4, 2 * n);
+    if (first) expected[0] = 2 * n - 1;
+    first = false;
+    EXPECT_EQ(counter.count_windows(static_cast<std::size_t>(n), 4), expected)
+        << "N = " << n;
+  }
+}
+
+/// Counts of `splits` consecutive count_windows calls over 120 windows of
+/// 700 cycles, on a fresh pair.
+std::vector<std::int64_t> split_run_counts(std::size_t splits) {
+  oscillator::RingOscillatorConfig c1, c2;
+  c1.seed = 0x51;
+  c2.seed = 0x52;
+  c2.mismatch = 1.5e-3;
+  oscillator::RingOscillator osc1(c1), osc2(c2);
+  DifferentialCounter counter(osc1, osc2);
+  const std::size_t n_windows = 120;
+  std::vector<std::int64_t> counts;
+  for (std::size_t s = 0; s < splits; ++s) {
+    const std::size_t take = (s + 1 == splits)
+                                 ? n_windows - counts.size()
+                                 : n_windows / splits;
+    const auto part = counter.count_windows(700, take);
+    counts.insert(counts.end(), part.begin(), part.end());
+  }
+  return counts;
+}
+
 TEST(Counter, TotalCountConservation) {
-  // Exact invariant of the buffered window loop: every osc1 period ever
-  // generated is either attributed to some window or still sits in the
-  // counter's edge buffer — no slack term.
+  // Exact invariant of the bracket walk: on fresh rings every osc1 edge
+  // generated after the first is counted in some window except the
+  // bracket's upper edge, past the last window end.
   using namespace ptrng::oscillator;
   auto c1 = paper_single_config(9);
   auto c2 = paper_single_config(10);
   c1.mismatch = 2e-3;
   RingOscillator osc1(c1), osc2(c2);
   DifferentialCounter counter(osc1, osc2);
-  const std::size_t n_cycles = 500, n_windows = 40;
-  const auto counts = counter.count_windows(n_cycles, n_windows);
   std::int64_t total = 0;
-  for (auto q : counts) total += q;
-  EXPECT_EQ(static_cast<std::uint64_t>(total) + counter.buffered_edges(),
-            osc1.cycle_count());
+  for (auto q : counter.count_windows(500, 40)) total += q;
+  EXPECT_EQ(static_cast<std::uint64_t>(total) + 1, osc1.cycle_count());
   // The invariant survives re-entry with a different window length.
   for (auto q : counter.count_windows(123, 7)) total += q;
-  EXPECT_EQ(static_cast<std::uint64_t>(total) + counter.buffered_edges(),
-            osc1.cycle_count());
+  EXPECT_EQ(static_cast<std::uint64_t>(total) + 1, osc1.cycle_count());
+  // Splitting a run into several calls does not change its counts.
+  EXPECT_EQ(split_run_counts(1), split_run_counts(3));
 }
 
 TEST(Counter, SnFromCountsScalesByF0) {

@@ -3,7 +3,7 @@
 // vector-op sanity tests exercise common/simd.hpp primitives directly
 // (skipped when active() is false — e.g. forced-scalar CI or a host
 // without the compiled ISA); the differential tests compare full
-// generator/measurement paths under ScopedForceScalar and always run.
+// generator paths under ScopedForceScalar and always run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,6 @@
 #include "common/rng.hpp"
 #include "common/simd.hpp"
 #include "common/ziggurat.hpp"
-#include "measurement/counter.hpp"
 #include "noise/filter_bank.hpp"
 #include "oscillator/ring_oscillator.hpp"
 
@@ -45,10 +44,6 @@ PTRNG_SIMD_TARGET void run_transpose(const double* in, double* out) {
   simd::store4(out + 4, b);
   simd::store4(out + 8, c);
   simd::store4(out + 12, d);
-}
-
-PTRNG_SIMD_TARGET int run_lt_mask(const double* a, const double* b) {
-  return simd::lt_mask(simd::load4(a), simd::load4(b));
 }
 
 PTRNG_SIMD_TARGET int run_lt_mask_i64(const std::uint64_t* a,
@@ -92,13 +87,6 @@ TEST(SimdOps, Transpose4) {
   run_transpose(in, out);
   for (int r = 0; r < 4; ++r)
     for (int c = 0; c < 4; ++c) EXPECT_EQ(out[4 * r + c], in[4 * c + r]);
-}
-
-TEST(SimdOps, LtMask) {
-  SKIP_UNLESS_VECTOR_ACTIVE();
-  const double a[4] = {1.0, 2.0, 3.0, 4.0};
-  const double b[4] = {2.0, 2.0, 5.0, -1.0};
-  EXPECT_EQ(run_lt_mask(a, b), 0b0101);
 }
 
 TEST(SimdOps, LtMaskI64IsSigned) {
@@ -447,65 +435,6 @@ TEST(FilterBankSimd, AdvanceSumMemoStableAcrossCacheWrap) {
     b.fill(buf_b);
     ASSERT_EQ(buf_a, buf_b);
   }
-}
-
-// ---------------------------------------------------------------------
-// DifferentialCounter: SIMD vs forced scalar, split re-entry (buffered
-// edge carry), and the exact conservation invariant.
-// ---------------------------------------------------------------------
-
-struct CounterRun {
-  std::vector<std::int64_t> counts;
-  std::uint64_t cycles = 0;
-  std::size_t buffered = 0;
-};
-
-CounterRun counter_run(bool force, std::size_t splits, std::size_t threads) {
-  oscillator::RingOscillatorConfig c1, c2;
-  c1.seed = 0x51;
-  c2.seed = 0x52;
-  c2.mismatch = 1.5e-3;
-  oscillator::RingOscillator osc1(c1), osc2(c2);
-  measurement::DifferentialCounter counter(osc1, osc2);
-  std::optional<simd::ScopedForceScalar> guard;
-  if (force) guard.emplace();
-  ThreadPool::global().resize(threads);
-  CounterRun r;
-  const std::size_t n_windows = 120, n_cycles = 700;
-  std::size_t done = 0;
-  for (std::size_t s = 0; s < splits; ++s) {
-    const std::size_t take =
-        (s + 1 == splits) ? n_windows - done : n_windows / splits;
-    const auto part = counter.count_windows(n_cycles, take);
-    r.counts.insert(r.counts.end(), part.begin(), part.end());
-    done += take;
-  }
-  ThreadPool::global().resize(0);
-  r.cycles = osc1.cycle_count();
-  r.buffered = counter.buffered_edges();
-  return r;
-}
-
-TEST(CounterSimd, CountsMatchScalarFallback) {
-  for (std::size_t splits : {std::size_t{1}, std::size_t{3}}) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
-      const auto v = counter_run(false, splits, threads);
-      const auto s = counter_run(true, splits, threads);
-      EXPECT_EQ(v.counts, s.counts)
-          << "splits=" << splits << " threads=" << threads;
-      EXPECT_EQ(v.cycles, s.cycles);
-      EXPECT_EQ(v.buffered, s.buffered);
-    }
-  }
-}
-
-TEST(CounterSimd, SplitRunPreservesCountsAndConservation) {
-  const auto whole = counter_run(false, 1, 1);
-  const auto split = counter_run(false, 3, 1);
-  EXPECT_EQ(whole.counts, split.counts);
-  const auto total = std::accumulate(whole.counts.begin(), whole.counts.end(),
-                                     std::int64_t{0});
-  EXPECT_EQ(static_cast<std::uint64_t>(total) + whole.buffered, whole.cycles);
 }
 
 }  // namespace

@@ -20,9 +20,11 @@
 //       the campaign's technology-derived 90 nm thermal-only cells at
 //       the default divider 64, and bench_cell_array's jittery
 //       fast-clock config (divider 8).
+//  (iv) The first 16 Fig.-6 counter counts of a paper pair (mismatch
+//       +-1.5e-3, windows of N = 1000 osc2 cycles).
 //
 // The (i) pins are bit-identity pins: no change may move them without a
-// declared §5 recalibration. The (ii) and (iii) pins move with any
+// declared §5 recalibration. The (ii), (iii) and (iv) pins move with any
 // change to how the oscillators realize edges (for example the
 // block-advance margin shared by the oscillators' advance_to_block);
 // such a change re-pins them in the same commit and says so. The (i)
@@ -30,7 +32,8 @@
 // residual draws into one; the (ii) pins when the sampling clock began
 // drawing its flicker in 64-edge blocks (FilterBankFlicker::
 // advance_sums); the (iii) pins when the cell array's gate-chain cells
-// moved to one jitter-sized jump per tick.
+// moved to one jitter-sized jump per tick; the (iv) pin was set when the
+// counter moved onto advance_to_block.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -44,7 +47,9 @@
 #include "common/rng.hpp"
 #include "common/sha256.hpp"
 #include "common/simd.hpp"
+#include "measurement/counter.hpp"
 #include "noise/filter_bank.hpp"
+#include "oscillator/oscillator_pair.hpp"
 #include "transistor/technology.hpp"
 #include "trng/cell_array.hpp"
 #include "trng/ero_trng.hpp"
@@ -285,6 +290,24 @@ TEST(StreamPins, BenchCellArrayBits) {
   for (std::size_t i = 0; i < std::size(kBitSeeds); ++i)
     EXPECT_EQ(cell_array_digest(cfg, kBitSeeds[i]), pins[i])
         << "seed " << kBitSeeds[i];
+}
+
+TEST(StreamPins, PaperPairCounterCounts) {
+  const std::vector<std::int64_t> pins{1003, 1003, 1003, 1003, 1003, 1003,
+                                       1003, 1004, 1003, 1003, 1003, 1003,
+                                       1003, 1003, 1003, 1003};
+  auto counts = [] {
+    auto c1 = oscillator::paper_single_config(1);
+    auto c2 = oscillator::paper_single_config(2);
+    c1.mismatch = +1.5e-3;
+    c2.mismatch = -1.5e-3;
+    oscillator::RingOscillator osc1(c1), osc2(c2);
+    measurement::DifferentialCounter counter(osc1, osc2);
+    return counter.count_windows(1000, 16);
+  };
+  EXPECT_EQ(counts(), pins) << "SIMD on";
+  simd::ScopedForceScalar scalar;
+  EXPECT_EQ(counts(), pins) << "SIMD forced off";
 }
 
 }  // namespace
