@@ -205,27 +205,6 @@ TEST(Counter, WindowEndTieGoesToNextWindow) {
   }
 }
 
-/// Counts of `splits` consecutive count_windows calls over 120 windows of
-/// 700 cycles, on a fresh pair.
-std::vector<std::int64_t> split_run_counts(std::size_t splits) {
-  oscillator::RingOscillatorConfig c1, c2;
-  c1.seed = 0x51;
-  c2.seed = 0x52;
-  c2.mismatch = 1.5e-3;
-  oscillator::RingOscillator osc1(c1), osc2(c2);
-  DifferentialCounter counter(osc1, osc2);
-  const std::size_t n_windows = 120;
-  std::vector<std::int64_t> counts;
-  for (std::size_t s = 0; s < splits; ++s) {
-    const std::size_t take = (s + 1 == splits)
-                                 ? n_windows - counts.size()
-                                 : n_windows / splits;
-    const auto part = counter.count_windows(700, take);
-    counts.insert(counts.end(), part.begin(), part.end());
-  }
-  return counts;
-}
-
 TEST(Counter, TotalCountConservation) {
   // Exact invariant of the bracket walk: on fresh rings every osc1 edge
   // generated after the first is counted in some window except the
@@ -242,8 +221,45 @@ TEST(Counter, TotalCountConservation) {
   // The invariant survives re-entry with a different window length.
   for (auto q : counter.count_windows(123, 7)) total += q;
   EXPECT_EQ(static_cast<std::uint64_t>(total) + 1, osc1.cycle_count());
-  // Splitting a run into several calls does not change its counts.
-  EXPECT_EQ(split_run_counts(1), split_run_counts(3));
+}
+
+struct SplitRun {
+  std::vector<std::int64_t> counts;
+  std::uint64_t cycles = 0;  ///< osc1.cycle_count() after the run
+};
+
+/// `splits` consecutive count_windows calls over 120 windows of 700
+/// cycles, on a fresh pair.
+SplitRun split_run(std::size_t splits) {
+  oscillator::RingOscillatorConfig c1, c2;
+  c1.seed = 0x51;
+  c2.seed = 0x52;
+  c2.mismatch = 1.5e-3;
+  oscillator::RingOscillator osc1(c1), osc2(c2);
+  DifferentialCounter counter(osc1, osc2);
+  const std::size_t n_windows = 120;
+  SplitRun r;
+  for (std::size_t s = 0; s < splits; ++s) {
+    const std::size_t take = (s + 1 == splits)
+                                 ? n_windows - r.counts.size()
+                                 : n_windows / splits;
+    const auto part = counter.count_windows(700, take);
+    r.counts.insert(r.counts.end(), part.begin(), part.end());
+  }
+  r.cycles = osc1.cycle_count();
+  return r;
+}
+
+TEST(CounterSimd, SplitRunPreservesCountsAndConservation) {
+  // Splitting a run into several calls changes neither its counts nor
+  // how many osc1 edges it generated, and the bracket invariant holds.
+  const auto whole = split_run(1);
+  const auto split = split_run(3);
+  EXPECT_EQ(whole.counts, split.counts);
+  EXPECT_EQ(whole.cycles, split.cycles);
+  std::int64_t total = 0;
+  for (auto q : whole.counts) total += q;
+  EXPECT_EQ(static_cast<std::uint64_t>(total) + 1, whole.cycles);
 }
 
 TEST(Counter, SnFromCountsScalesByF0) {
