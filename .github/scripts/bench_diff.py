@@ -17,7 +17,10 @@ bench-smoke layout). ``BASELINE_DIR`` holds either:
 * flat ``*.json`` files (the legacy single-run layout), used as-is.
 
 Benchmarks are matched by (file, benchmark name); entries present on
-only one side and aggregate rows are skipped. Rows whose name contains
+only one side and aggregate rows are not compared. A file or row that
+exists only in the baseline (a deleted or renamed bench) gets a
+``::notice::`` line so it cannot vanish without a word; it never fails
+the gate. Rows whose name contains
 ``:informational`` are also skipped: bench binaries use that suffix for
 measurements that are real but not comparable on this runner (e.g.
 thread-scaling rows registered on a single-CPU host, where widths 2/4/8
@@ -179,7 +182,10 @@ def compare(baseline: dict[str, dict[str, float]], new_dir: pathlib.Path,
     regressions: list[tuple[str, float, float, float, float]] = []
     improvements = 0
     seen_keys: set[str] = set()
-    for new_file in sorted(new_dir.glob("*.json")):
+    new_files = sorted(new_dir.glob("*.json"))
+    for fname in sorted(set(baseline) - {f.name for f in new_files}):
+        print(f"::notice::{fname}: in the baseline only, not compared")
+    for new_file in new_files:
         new = load_results(new_file, metric)
         seen_keys.add(new_file.stem)
         seen_keys.update(f"{new_file.stem}::{name}" for name in new)
@@ -187,6 +193,10 @@ def compare(baseline: dict[str, dict[str, float]], new_dir: pathlib.Path,
         if base is None:
             print(f"::notice::{new_file.name}: new bench, no baseline yet")
             continue
+        for name in sorted(set(base) - set(new)):
+            if ":informational" not in name:
+                print(f"::notice::{new_file.name}: {name}: in the baseline "
+                      "only, not compared")
         for name, new_ns in sorted(new.items()):
             if ":informational" in name:
                 continue

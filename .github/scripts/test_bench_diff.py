@@ -262,6 +262,33 @@ def test_repo_budgets_file_parses() -> None:
     assert budgets["benches"]["bench_gaussian"]["threshold"] > 0
 
 
+def test_rows_only_in_baseline_are_noticed() -> None:
+    # A bench file or row deleted since the baseline is not compared,
+    # but it must show up as a ::notice:: rather than vanish silently,
+    # and it never counts as a regression.
+    with tempfile.TemporaryDirectory() as tmp:
+        base = pathlib.Path(tmp) / "baseline"
+        _write_run(base / "run-0000", "b.json",
+                   {"kept": 1e6, "deleted": 1e6,
+                    "gone:informational/8": 1e6})
+        _write_run(base / "run-0000", "old.json", {"bm": 1e6})
+        baseline = bench_diff.collect_baseline(base, history=3,
+                                               metric="cpu_time")
+        new = pathlib.Path(tmp) / "new"
+        _write_run(new, "b.json", {"kept": 1e6, "added": 1e6})
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            compared, regressions, _ = bench_diff.compare(
+                baseline, new, threshold=0.15, metric="cpu_time")
+        text = out.getvalue()
+        assert compared == 1
+        assert regressions == []
+        assert "::notice::old.json: in the baseline only" in text
+        assert "::notice::b.json: deleted: in the baseline only" in text
+        assert "kept" not in text and "added" not in text
+        assert "informational" not in text
+        assert "::error::" not in text and "::warning::" not in text
+
+
 def test_informational_rows_are_skipped() -> None:
     # Rows tagged ":informational" (e.g. thread-scaling rows registered
     # on a single-CPU runner) are measured and archived but never

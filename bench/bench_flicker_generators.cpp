@@ -1,15 +1,13 @@
-// GEN — ablation of the 1/f generator families the simulator could be
-// built on: octave filter bank (production), Kasdin-Walter fractional
-// integrator (reference), Voss-McCartney (legacy), RTN superposition
-// (physical). Reports in-band PSD slope accuracy, amplitude error against
-// the target A/f, the induced sigma^2_N shape, and throughput.
+// GEN — the production 1/f generator, the octave filter bank: in-band
+// PSD slope accuracy, amplitude error against the target A/f, the induced
+// sigma^2_N shape, fill determinism, and throughput of the sample, block
+// and jump paths the oscillators run.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -18,9 +16,6 @@
 #include "common/table.hpp"
 #include "measurement/sigma_n_estimator.hpp"
 #include "noise/filter_bank.hpp"
-#include "noise/kasdin.hpp"
-#include "noise/rtn.hpp"
-#include "noise/voss.hpp"
 #include "oscillator/oscillator_pair.hpp"
 #include "oscillator/ring_oscillator.hpp"
 #include "stats/psd.hpp"
@@ -31,73 +26,48 @@ namespace {
 using namespace ptrng;
 using namespace ptrng::noise;
 
-std::unique_ptr<NoiseSource> make_generator(const std::string& name,
-                                            double amplitude,
-                                            std::uint64_t seed) {
-  if (name == "filter_bank") {
-    FilterBankFlicker::Config cfg;
-    cfg.amplitude = amplitude;
-    cfg.fs = 1.0;
-    cfg.f_min = 1e-5;
-    cfg.f_max = 0.25;
-    cfg.seed = seed;
-    return std::make_unique<FilterBankFlicker>(cfg);
-  }
-  if (name == "kasdin") {
-    KasdinFlicker::Config cfg;
-    cfg.alpha = 1.0;
-    cfg.sigma_w = KasdinFlicker::sigma_w_for_amplitude(amplitude);
-    cfg.fs = 1.0;
-    cfg.seed = seed;
-    return std::make_unique<KasdinFlicker>(cfg);
-  }
-  if (name == "voss") {
-    return std::make_unique<VossMcCartney>(18, 1.0, seed);
-  }
-  RtnSuperposition::Config cfg;
-  cfg.traps = 36;
-  cfg.lambda_min = 3e-5;
-  cfg.lambda_max = 0.8;
-  cfg.amplitude = std::sqrt(amplitude);  // per-trap scale heuristic
+constexpr double kAmplitude = 1e-3;
+
+/// The bench's bank: two-sided PSD kAmplitude / f over [1e-5, 0.25] at
+/// fs = 1.
+FilterBankFlicker::Config bank_config(std::uint64_t seed) {
+  FilterBankFlicker::Config cfg;
+  cfg.amplitude = kAmplitude;
   cfg.fs = 1.0;
+  cfg.f_min = 1e-5;
+  cfg.f_max = 0.25;
   cfg.seed = seed;
-  return std::make_unique<RtnSuperposition>(cfg);
+  return cfg;
 }
 
 void print_ablation() {
-  std::cout << "=== GEN: 1/f generator family ablation ===\n"
+  std::cout << "=== GEN: 1/f filter-bank calibration ===\n"
             << "target two-sided PSD: 1e-3 / f over ~[1e-4, 0.25] (fs=1)\n\n";
-  const double amplitude = 1e-3;
 
   TableWriter table({"generator", "slope [-1]", "PSD err @1e-3 [x]",
                      "s2N(4096)/s2N(64)/64 [N^1 ->1, N^2 ->64]"});
-  for (const std::string name :
-       {"filter_bank", "kasdin", "voss", "rtn_sum"}) {
-    auto gen = make_generator(name, amplitude, 0x9e4 + name.size());
-    std::vector<double> x(1 << 19);
-    gen->fill(x);
-    const auto est = stats::welch(x, 1.0, 1 << 13);
-    const double slope = stats::psd_slope(est, 1e-3, 0.1);
-    const double level = stats::psd_level(est, 8e-4, 1.25e-3);
-    const double target_one_sided = 2.0 * amplitude / 1e-3;
-    const double amp_err = level / target_one_sided;
+  FilterBankFlicker gen(bank_config(0x9ef));
+  std::vector<double> x(1 << 19);
+  gen.fill(x);
+  const auto est = stats::welch(x, 1.0, 1 << 13);
+  const double slope = stats::psd_slope(est, 1e-3, 0.1);
+  const double level = stats::psd_level(est, 8e-4, 1.25e-3);
+  const double target_one_sided = 2.0 * kAmplitude / 1e-3;
+  const double amp_err = level / target_one_sided;
 
-    // sigma^2_N growth exponent probe: pure 1/f per-period jitter should
-    // give sigma^2_N ~ N^2 (ratio -> 64); white would give ~N (ratio 1).
-    const std::vector<std::size_t> grid{64, 4096};
-    const auto sweep = measurement::sigma2_n_sweep(x, grid);
-    std::string growth = "-";
-    if (sweep.size() == 2) {
-      growth = cell(sweep[1].sigma2 / sweep[0].sigma2 / 64.0, 2);
-    }
-    table.add_row({name, cell(slope, 3), cell(amp_err, 3), growth});
+  // sigma^2_N growth exponent probe: pure 1/f per-period jitter should
+  // give sigma^2_N ~ N^2 (ratio -> 64); white would give ~N (ratio 1).
+  const std::vector<std::size_t> grid{64, 4096};
+  const auto sweep = measurement::sigma2_n_sweep(x, grid);
+  std::string growth = "-";
+  if (sweep.size() == 2) {
+    growth = cell(sweep[1].sigma2 / sweep[0].sigma2 / 64.0, 2);
   }
+  table.add_row({"filter_bank", cell(slope, 3), cell(amp_err, 3), growth});
   table.print(std::cout);
-  std::cout << "\nreading: filter_bank and kasdin hit slope -1 and the "
-               "target amplitude (calibrated);\nvoss approximates the "
-               "slope without amplitude control; rtn_sum is 1/f only "
-               "inside its\ntrap band. All show the N^2-type sigma^2_N "
-               "growth that breaks Eq. 6.\n\n";
+  std::cout << "\nreading: the bank hits slope -1 and the target amplitude "
+               "(calibrated), and shows the\nN^2-type sigma^2_N growth that "
+               "breaks Eq. 6.\n\n";
 }
 
 // Bit-identity preamble à la bench_multi_ring: the batched fill() must
@@ -106,12 +76,7 @@ void print_ablation() {
 // the SIMD kernels forced down to the scalar fallback — before any fill
 // timing is trusted (docs/ARCHITECTURE.md §5 "SIMD rules").
 bool verify_fill_determinism() {
-  FilterBankFlicker::Config cfg;
-  cfg.amplitude = 1e-3;
-  cfg.fs = 1.0;
-  cfg.f_min = 1e-5;
-  cfg.f_max = 0.25;
-  cfg.seed = 0xf111be;
+  const auto cfg = bank_config(0xf111be);
   FilterBankFlicker stepped(cfg), batched(cfg), scalar(cfg);
 
   std::vector<double> expected(20000);
@@ -141,8 +106,8 @@ bool verify_fill_determinism() {
 }
 
 void bm_filter_bank(benchmark::State& state) {
-  auto gen = make_generator("filter_bank", 1e-3, 1);
-  for (auto _ : state) benchmark::DoNotOptimize(gen->next());
+  FilterBankFlicker gen(bank_config(1));
+  for (auto _ : state) benchmark::DoNotOptimize(gen.next());
 }
 BENCHMARK(bm_filter_bank);
 
@@ -157,10 +122,10 @@ constexpr std::size_t kFillBlockSamples = 1u << 20;
 
 void bm_filter_bank_fill_1m_threads(benchmark::State& state) {
   ThreadPool::global().resize(static_cast<std::size_t>(state.range(0)));
-  auto gen = make_generator("filter_bank", 1e-3, 5);
+  FilterBankFlicker gen(bank_config(5));
   std::vector<double> block(kFillBlockSamples);
   for (auto _ : state) {
-    gen->fill(block);
+    gen.fill(block);
     benchmark::DoNotOptimize(block.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -176,10 +141,10 @@ void bm_filter_bank_fill_1m_threads(benchmark::State& state) {
 void bm_filter_bank_fill_1m_scalar(benchmark::State& state) {
   ThreadPool::global().resize(1);
   ptrng::simd::ScopedForceScalar force;
-  auto gen = make_generator("filter_bank", 1e-3, 5);
+  FilterBankFlicker gen(bank_config(5));
   std::vector<double> block(kFillBlockSamples);
   for (auto _ : state) {
-    gen->fill(block);
+    gen.fill(block);
     benchmark::DoNotOptimize(block.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -189,10 +154,10 @@ void bm_filter_bank_fill_1m_scalar(benchmark::State& state) {
 BENCHMARK(bm_filter_bank_fill_1m_scalar)->Unit(benchmark::kMillisecond);
 
 void bm_filter_bank_next_loop_1m(benchmark::State& state) {
-  auto gen = make_generator("filter_bank", 1e-3, 5);
+  FilterBankFlicker gen(bank_config(5));
   std::vector<double> block(kFillBlockSamples);
   for (auto _ : state) {
-    for (auto& x : block) x = gen->next();
+    for (auto& x : block) x = gen.next();
     benchmark::DoNotOptimize(block.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -243,24 +208,6 @@ void bm_paper_trng_bit(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(trng.next_bit());
 }
 BENCHMARK(bm_paper_trng_bit)->Arg(200)->Arg(20000)->Arg(100000);
-
-void bm_kasdin(benchmark::State& state) {
-  auto gen = make_generator("kasdin", 1e-3, 2);
-  for (auto _ : state) benchmark::DoNotOptimize(gen->next());
-}
-BENCHMARK(bm_kasdin);
-
-void bm_voss(benchmark::State& state) {
-  auto gen = make_generator("voss", 1e-3, 3);
-  for (auto _ : state) benchmark::DoNotOptimize(gen->next());
-}
-BENCHMARK(bm_voss);
-
-void bm_rtn_sum(benchmark::State& state) {
-  auto gen = make_generator("rtn_sum", 1e-3, 4);
-  for (auto _ : state) benchmark::DoNotOptimize(gen->next());
-}
-BENCHMARK(bm_rtn_sum);
 
 }  // namespace
 

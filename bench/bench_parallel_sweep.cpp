@@ -1,9 +1,9 @@
 // PARSWEEP — thread scaling of the parallel execution core on the
 // paper's headline computation: the sigma^2_N sweep over a 4M-sample
-// relative-jitter series (Fig. 7 input), plus the batched Kasdin fill().
-// The Arg is the pool width; compare the 1-thread row against 2/4/8 to
-// read the speedup. The preamble verifies the bit-identity guarantee
-// (PTRNG_THREADS=1 vs =8 outputs) before any timing is trusted.
+// relative-jitter series (Fig. 7 input). The Arg is the pool width;
+// compare the 1-thread row against 2/4/8 to read the speedup. The
+// preamble verifies the bit-identity guarantee (PTRNG_THREADS=1 vs =8
+// outputs) before any timing is trusted.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -13,7 +13,6 @@
 #include "common/math_utils.hpp"
 #include "common/parallel.hpp"
 #include "measurement/sigma_n_estimator.hpp"
-#include "noise/kasdin.hpp"
 #include "oscillator/oscillator_pair.hpp"
 
 namespace {
@@ -64,37 +63,6 @@ BENCHMARK(bm_sweep_threads)
     ->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
-
-void bm_kasdin_fill_threads(benchmark::State& state) {
-  ThreadPool::global().resize(static_cast<std::size_t>(state.range(0)));
-  noise::KasdinFlicker::Config cfg;
-  cfg.seed = 0x4a5d;
-  noise::KasdinFlicker gen(cfg);
-  std::vector<double> out(1 << 21);
-  for (auto _ : state) {
-    gen.fill(out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(out.size()));
-  ThreadPool::global().resize(0);
-}
-BENCHMARK(bm_kasdin_fill_threads)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
-
-void bm_kasdin_next_baseline(benchmark::State& state) {
-  noise::KasdinFlicker::Config cfg;
-  cfg.seed = 0x4a5d;
-  noise::KasdinFlicker gen(cfg);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(gen.next());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(bm_kasdin_next_baseline);
 
 }  // namespace
 

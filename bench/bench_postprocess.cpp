@@ -1,8 +1,8 @@
-// POSTPROC — throughput of the algebraic post-processing stages, both
-// through the legacy batch free functions and through the streaming
-// BitTransform path feeding block-sized pushes (the Pipeline hot loop).
-// Items processed = RAW input bits, so rows are comparable across
-// factors and correctors. Closes the ROADMAP postprocess bench gap.
+// POSTPROC — throughput of the algebraic post-processing stages: the
+// streaming BitTransform path feeding block-sized pushes (the Pipeline
+// hot loop) and the bias / serial-correlation statistics that judge it.
+// Items processed = RAW input bits, so rows are comparable. Closes the
+// ROADMAP postprocess bench gap.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -30,28 +30,6 @@ const std::vector<std::uint8_t>& raw_bits() {
   }();
   return bits;
 }
-
-void bm_xor_decimate(benchmark::State& state) {
-  const auto& bits = raw_bits();
-  const auto factor = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(xor_decimate(bits, factor));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bits.size()));
-}
-BENCHMARK(bm_xor_decimate)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void bm_von_neumann(benchmark::State& state) {
-  const auto& bits = raw_bits();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(von_neumann(bits));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(bits.size()));
-}
-BENCHMARK(bm_von_neumann)->Unit(benchmark::kMillisecond);
 
 void bm_transform_streaming_blocks(benchmark::State& state) {
   // The Pipeline hot loop: 4096-bit pushes with carry state across block

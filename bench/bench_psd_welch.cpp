@@ -6,8 +6,8 @@
 
 #include <vector>
 
-#include "noise/kasdin.hpp"
-#include "noise/white.hpp"
+#include "common/rng.hpp"
+#include "noise/filter_bank.hpp"
 #include "stats/psd.hpp"
 
 namespace {
@@ -19,12 +19,13 @@ using namespace ptrng;
 const std::vector<double>& test_signal() {
   static const std::vector<double> signal = [] {
     std::vector<double> x(1 << 20);
-    noise::KasdinFlicker::Config cfg;
+    noise::FilterBankFlicker::Config cfg;
+    cfg.amplitude = 0.16;  // 1/f meets the unit white level near 0.16 Hz
     cfg.seed = 0x95d;
-    noise::KasdinFlicker flicker(cfg);
+    noise::FilterBankFlicker flicker(cfg);
     flicker.fill(x);
-    noise::WhiteGaussianNoise white(1.0, 1.0, 0x715);
-    for (auto& v : x) v += white.next();
+    GaussianSampler white(0x715);
+    for (auto& v : x) v += white();
     return x;
   }();
   return signal;

@@ -1,6 +1,6 @@
 // Parallel execution core: a small fixed-size thread pool with
 // parallel_for / parallel_reduce primitives used by the leaf algorithms
-// (sigma^2_N sweeps, Kasdin block convolution, ...).
+// (sigma^2_N sweeps, flicker filter-bank stages, ...).
 //
 // Design rules (docs/ARCHITECTURE.md §5):
 //  * Determinism first. Work is split into chunks whose boundaries depend

@@ -28,14 +28,13 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "noise/noise_source.hpp"
 #include "noise/sampler_policy.hpp"
 
 namespace ptrng::noise {
 
 /// Streaming 1/f noise with two-sided PSD ~ amplitude/f over
 /// [f_min, f_max].
-class FilterBankFlicker final : public NoiseSource {
+class FilterBankFlicker final {
  public:
   struct Config {
     double amplitude = 1.0;      ///< target two-sided PSD: amplitude / f
@@ -51,7 +50,8 @@ class FilterBankFlicker final : public NoiseSource {
 
   explicit FilterBankFlicker(const Config& config);
 
-  double next() override;
+  /// Next sample of the process.
+  double next();
 
   /// Batched fast path: bit-identical to out.size() next() calls on the
   /// same stream for ANY PTRNG_THREADS (per-stage RNG streams make the
@@ -60,9 +60,10 @@ class FilterBankFlicker final : public NoiseSource {
   /// stage per sample; the independent per-stage recurrences fan out one
   /// stage per task on the common pool and the stage contributions fold
   /// in stage order — the exact accumulation order of next().
-  void fill(std::span<double> out) override;
+  void fill(std::span<double> out);
 
-  [[nodiscard]] double sample_rate() const override { return fs_; }
+  /// Sample rate the PSD is defined against [Hz].
+  [[nodiscard]] double sample_rate() const { return fs_; }
 
   /// Exact block advance: draws the SUM of the next k samples from its
   /// true joint distribution with the end state and moves the generator

@@ -38,17 +38,12 @@
 #include "stats/special.hpp"
 
 /// \namespace ptrng::noise
-/// Streaming noise processes: white, 1/f^alpha (Kasdin, Voss–McCartney,
-/// filter bank, spectral synthesis), random telegraph noise, and the
+/// Noise processes: the calibrated 1/f filter-bank flicker generator,
+/// 1/f^alpha spectral synthesis as a known-spectrum reference, and the
 /// sidedness-aware power-law PSD bookkeeping.
 #include "noise/filter_bank.hpp"
-#include "noise/kasdin.hpp"
-#include "noise/noise_source.hpp"
 #include "noise/psd_model.hpp"
-#include "noise/rtn.hpp"
 #include "noise/spectral_synthesis.hpp"
-#include "noise/voss.hpp"
-#include "noise/white.hpp"
 
 /// \namespace ptrng::transistor
 /// Device level (paper Sec. III-A): MOSFET thermal/flicker current-noise

@@ -6,12 +6,11 @@
 //   BitSource --> [taps] --> BitTransform --> ... --> output bits/BYTES
 //
 // Sources are batch-first (`generate_into`, mirroring
-// noise::NoiseSource::fill) so hot paths can block and parallelize;
+// noise::FilterBankFlicker::fill) so hot paths can block and parallelize;
 // transforms are streaming and stateful (carry state persists across
 // block boundaries), so a pipeline fed in arbitrary block sizes produces
-// exactly the same bits as one fed the whole stream at once. The legacy
-// free functions in trng/postprocess.hpp are thin wrappers over these
-// transforms.
+// exactly the same bits as one fed the whole stream at once. A one-shot
+// batch is one push of a fresh transform.
 //
 // Since PR 7 the PUBLIC output surface is byte-first: consumers call
 // fill_bytes()/generate_bytes() (the RBG service, the conditioner and
@@ -161,8 +160,9 @@ class RawRecorderTap final : public TapStage {
 
 /// Streaming XOR decimation (piling-up corrector): emits the XOR of each
 /// non-overlapping `factor`-bit group; a trailing partial group stays
-/// buffered until completed by a later push.
-class XorDecimateTransform : public BitTransform {
+/// buffered until completed by a later push. Under the piling-up lemma,
+/// bias shrinks as 2^{factor-1} * bias^factor.
+class XorDecimateTransform final : public BitTransform {
  public:
   explicit XorDecimateTransform(std::size_t factor);
 
@@ -183,7 +183,9 @@ class XorDecimateTransform : public BitTransform {
 
 /// Streaming von Neumann corrector: 01 -> 0, 10 -> 1, 00/11 dropped. An
 /// unpaired bit is held until its partner arrives, so pairs spanning
-/// block boundaries behave exactly like the batch version.
+/// block boundaries behave exactly like one push of the whole stream.
+/// Removes all bias from iid input (at ~4x rate loss); does NOT fix
+/// correlation.
 class VonNeumannTransform final : public BitTransform {
  public:
   void push(std::span<const std::uint8_t> in,
@@ -196,17 +198,6 @@ class VonNeumannTransform final : public BitTransform {
  private:
   bool has_pending_ = false;
   std::uint8_t pending_ = 0;
-};
-
-/// Parity of non-overlapping `block`-sized groups — the hardware-style
-/// alias of XOR decimation, kept as its own stage name.
-class ParityFilterTransform final : public XorDecimateTransform {
- public:
-  explicit ParityFilterTransform(std::size_t block)
-      : XorDecimateTransform(block) {}
-  [[nodiscard]] const char* name() const noexcept override {
-    return "parity_filter";
-  }
 };
 
 /// Composes one BitSource with N BitTransforms and any number of

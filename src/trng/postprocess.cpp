@@ -3,41 +3,8 @@
 #include <cmath>
 
 #include "common/contracts.hpp"
-#include "trng/bit_stream.hpp"
 
 namespace ptrng::trng {
-
-// The batch free functions are thin wrappers over the streaming
-// BitTransform stages (trng/bit_stream.hpp): one push of the whole span
-// through a fresh transform. A trailing partial group / unpaired bit
-// stays inside the discarded transform, reproducing the historical
-// "drop the tail" semantics byte for byte.
-
-std::vector<std::uint8_t> xor_decimate(std::span<const std::uint8_t> bits,
-                                       std::size_t factor) {
-  XorDecimateTransform transform(factor);
-  std::vector<std::uint8_t> out;
-  out.reserve(bits.size() / factor);
-  transform.push(bits, out);
-  return out;
-}
-
-std::vector<std::uint8_t> von_neumann(std::span<const std::uint8_t> bits) {
-  VonNeumannTransform transform;
-  std::vector<std::uint8_t> out;
-  out.reserve(bits.size() / 4);
-  transform.push(bits, out);
-  return out;
-}
-
-std::vector<std::uint8_t> parity_filter(std::span<const std::uint8_t> bits,
-                                        std::size_t block) {
-  ParityFilterTransform transform(block);
-  std::vector<std::uint8_t> out;
-  out.reserve(bits.size() / block);
-  transform.push(bits, out);
-  return out;
-}
 
 double bias(std::span<const std::uint8_t> bits) {
   PTRNG_EXPECTS(!bits.empty());

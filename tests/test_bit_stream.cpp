@@ -1,6 +1,6 @@
 // The bit-stream pipeline layer (trng/bit_stream.hpp): batched sources
-// vs their per-bit streams (at 1 and 8 threads), streaming transforms vs
-// the legacy batch free functions, and pipeline composition/carry-state
+// vs their per-bit streams (at 1 and 8 threads), chunked transform pushes
+// vs one push of the whole stream, and pipeline composition/carry-state
 // semantics across block boundaries.
 #include <gtest/gtest.h>
 
@@ -18,7 +18,6 @@
 #include "trng/ero_trng.hpp"
 #include "trng/multi_ring.hpp"
 #include "trng/online_test.hpp"
-#include "trng/postprocess.hpp"
 
 namespace {
 
@@ -48,6 +47,15 @@ class RngBitSource final : public BitSource {
 std::vector<std::uint8_t> random_bits(std::size_t n, std::uint64_t seed) {
   RngBitSource src(seed);
   return src.generate_bits(n);
+}
+
+/// One push of the whole stream through a fresh transform: the one-shot
+/// reference the chunked and piped paths must reproduce.
+std::vector<std::uint8_t> one_shot(BitTransform&& transform,
+                                   std::span<const std::uint8_t> bits) {
+  std::vector<std::uint8_t> out;
+  transform.push(bits, out);
+  return out;
 }
 
 // --- (a) generate_into == repeated next_bit, at 1 and 8 threads ----------
@@ -135,35 +143,7 @@ TEST(BitSourceBatch, InterleavingBatchAndNextBitContinuesOneStream) {
   EXPECT_EQ(mixed, b.generate_bits(3000));
 }
 
-// --- (b) each BitTransform == its legacy free function -------------------
-
-TEST(Transforms, XorDecimateMatchesLegacyOneShot) {
-  const auto bits = random_bits(100'003, 31);  // deliberately not a multiple
-  for (std::size_t factor : {1u, 2u, 3u, 4u, 8u}) {
-    XorDecimateTransform t(factor);
-    std::vector<std::uint8_t> out;
-    t.push(bits, out);
-    EXPECT_EQ(out, xor_decimate(bits, factor)) << "factor " << factor;
-  }
-}
-
-TEST(Transforms, VonNeumannMatchesLegacyOneShot) {
-  for (std::size_t n : {2u, 7u, 100'001u}) {
-    const auto bits = random_bits(n, 32);
-    VonNeumannTransform t;
-    std::vector<std::uint8_t> out;
-    t.push(bits, out);
-    EXPECT_EQ(out, von_neumann(bits)) << "n " << n;
-  }
-}
-
-TEST(Transforms, ParityFilterMatchesLegacyOneShot) {
-  const auto bits = random_bits(50'000, 33);
-  ParityFilterTransform t(5);
-  std::vector<std::uint8_t> out;
-  t.push(bits, out);
-  EXPECT_EQ(out, parity_filter(bits, 5));
-}
+// --- (b) chunked pushes == one push of a fresh transform ----------------
 
 TEST(Transforms, ChunkedPushesMatchOneShot) {
   // Carry state across block boundaries: feeding awkward odd-sized chunks
@@ -183,9 +163,9 @@ TEST(Transforms, ChunkedPushesMatchOneShot) {
     return out;
   };
   XorDecimateTransform x3(3);
-  EXPECT_EQ(run_chunked(x3), xor_decimate(bits, 3));
+  EXPECT_EQ(run_chunked(x3), one_shot(XorDecimateTransform(3), bits));
   VonNeumannTransform vn;
-  EXPECT_EQ(run_chunked(vn), von_neumann(bits));
+  EXPECT_EQ(run_chunked(vn), one_shot(VonNeumannTransform(), bits));
 }
 
 TEST(Transforms, OneBitPushesMatchOneShot) {
@@ -203,8 +183,8 @@ TEST(Transforms, OneBitPushesMatchOneShot) {
     x16.push(one, x16_out);
     x16.push({}, x16_out);
   }
-  EXPECT_EQ(vn_out, von_neumann(bits));
-  EXPECT_EQ(x16_out, xor_decimate(bits, 16));
+  EXPECT_EQ(vn_out, one_shot(VonNeumannTransform(), bits));
+  EXPECT_EQ(x16_out, one_shot(XorDecimateTransform(16), bits));
 }
 
 TEST(Transforms, PrimeChunkSchedulesMatchOneShot) {
@@ -226,8 +206,9 @@ TEST(Transforms, PrimeChunkSchedulesMatchOneShot) {
       pos += take;
       ++k;
     }
-    EXPECT_EQ(t_out, xor_decimate(bits, factor)) << "factor " << factor;
-    EXPECT_EQ(vn_out, von_neumann(bits));
+    EXPECT_EQ(t_out, one_shot(XorDecimateTransform(factor), bits))
+        << "factor " << factor;
+    EXPECT_EQ(vn_out, one_shot(VonNeumannTransform(), bits));
   }
 }
 
@@ -262,7 +243,7 @@ TEST(Transforms, ResetDropsCarriedState) {
 
 TEST(Pipeline, AppliesTransformsInInsertionOrder) {
   // xor/2 then von Neumann != von Neumann then xor/2; each pipeline must
-  // match the equivalent free-function composition on the raw stream it
+  // match the equivalent one-shot composition on the raw stream it
   // actually consumed.
   for (bool xor_first : {true, false}) {
     RngBitSource src(41);
@@ -277,8 +258,11 @@ TEST(Pipeline, AppliesTransformsInInsertionOrder) {
     const auto piped = pipe.generate_bits(4000);
     const auto raw = random_bits(pipe.raw_bits(), 41);  // same seed/stream
     const auto manual =
-        xor_first ? von_neumann(xor_decimate(raw, 2))
-                  : xor_decimate(von_neumann(raw), 2);
+        xor_first
+            ? one_shot(VonNeumannTransform(),
+                       one_shot(XorDecimateTransform(2), raw))
+            : one_shot(XorDecimateTransform(2),
+                       one_shot(VonNeumannTransform(), raw));
     ASSERT_GE(manual.size(), piped.size());
     EXPECT_TRUE(std::equal(piped.begin(), piped.end(), manual.begin()))
         << "xor_first " << xor_first;
@@ -315,7 +299,8 @@ TEST(Pipeline, NestsAsABitSource) {
   outer.add_transform(std::make_unique<XorDecimateTransform>(2));
   const auto nested = outer.generate_bits(2000);
   const auto raw = random_bits(inner.raw_bits(), 44);
-  const auto manual = xor_decimate(xor_decimate(raw, 2), 2);
+  const auto manual = one_shot(XorDecimateTransform(2),
+                               one_shot(XorDecimateTransform(2), raw));
   ASSERT_GE(manual.size(), nested.size());
   EXPECT_TRUE(std::equal(nested.begin(), nested.end(), manual.begin()));
 }

@@ -1,5 +1,5 @@
-// Unit tests for the noise generators: PSD calibration of every 1/f
-// family, stationarity, RTN statistics, power-law model bookkeeping.
+// Unit tests for the noise layer: the flicker bank's PSD calibration,
+// batching and stationarity, power-law model bookkeeping.
 #include <gtest/gtest.h>
 
 #include "ignore_result.hpp"
@@ -9,11 +9,7 @@
 
 #include "common/contracts.hpp"
 #include "noise/filter_bank.hpp"
-#include "noise/kasdin.hpp"
 #include "noise/psd_model.hpp"
-#include "noise/rtn.hpp"
-#include "noise/voss.hpp"
-#include "noise/white.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/psd.hpp"
 
@@ -24,31 +20,10 @@ using ptrng::test::ignore_result;
 using namespace ptrng;
 using namespace ptrng::noise;
 
-std::vector<double> collect(NoiseSource& src, std::size_t n) {
+std::vector<double> collect(FilterBankFlicker& src, std::size_t n) {
   std::vector<double> out(n);
   src.fill(out);
   return out;
-}
-
-TEST(WhiteGaussian, MomentsAndPsdLevel) {
-  WhiteGaussianNoise src(2.0, 1000.0, 1);
-  const auto x = collect(src, 1 << 17);
-  stats::RunningStats rs;
-  for (double v : x) rs.add(v);
-  EXPECT_NEAR(rs.mean(), 0.0, 0.03);
-  EXPECT_NEAR(rs.variance(), 4.0, 0.1);
-  EXPECT_DOUBLE_EQ(src.psd_two_sided(), 4.0 / 1000.0);
-
-  const auto est = stats::welch(x, 1000.0, 1 << 10);
-  const double level = stats::psd_level(est, 50.0, 450.0);
-  // one-sided estimate = 2 x two-sided.
-  EXPECT_NEAR(level, 2.0 * src.psd_two_sided(),
-              0.05 * 2.0 * src.psd_two_sided());
-}
-
-TEST(WhiteGaussian, RejectsBadParams) {
-  EXPECT_THROW(WhiteGaussianNoise(-1.0, 1.0, 1), ContractViolation);
-  EXPECT_THROW(WhiteGaussianNoise(1.0, 0.0, 1), ContractViolation);
 }
 
 TEST(FilterBankFlicker, AnalyticPsdTracksTarget) {
@@ -158,8 +133,9 @@ TEST(FilterBankFlicker, FillMatchesSteppedNextExactly) {
 
 TEST(FilterBankFlicker, FillComposesWithAdvanceSum) {
   // advance_sum consumes exactly one draw per stage from the same
-  // per-stage streams (plus one from its own residual stream), so
-  // interleaving it with fill() vs with looped next() must keep the two
+  // per-stage streams (plus one from its own residual stream), and
+  // advance_sums one residual draw per block plus one draw per stage, so
+  // interleaving them with fill() vs with looped next() must keep the two
   // generators bit-identical.
   FilterBankFlicker::Config cfg;
   cfg.amplitude = 1.0;
@@ -169,25 +145,27 @@ TEST(FilterBankFlicker, FillComposesWithAdvanceSum) {
   cfg.seed = 0xf112;
   FilterBankFlicker stepped(cfg), batched(cfg);
 
-  for (int round = 0; round < 5; ++round) {
+  // advance_sums' (k, blocks) per round: the four corners, then a repeat
+  // that reuses the memoized plan.
+  constexpr std::size_t kSums[][2] = {
+      {2, 1}, {200, 1}, {2, 64}, {200, 64}, {2, 64}};
+  constexpr int kRounds = 5;
+  for (int round = 0; round <= kRounds; ++round) {
     const std::size_t n = 100 + static_cast<std::size_t>(round) * 501;
     std::vector<double> expected(n), got(n);
     for (auto& x : expected) x = stepped.next();
     batched.fill(got);
     for (std::size_t i = 0; i < n; ++i)
       ASSERT_EQ(got[i], expected[i]) << "round " << round << " sample " << i;
+    if (round == kRounds) break;
     EXPECT_EQ(batched.advance_sum(64), stepped.advance_sum(64))
         << "round " << round;
+    const auto [k, blocks] = kSums[round];
+    std::vector<double> sums_b(blocks), sums_s(blocks);
+    batched.advance_sums(k, sums_b);
+    stepped.advance_sums(k, sums_s);
+    EXPECT_EQ(sums_b, sums_s) << "round " << round;
   }
-}
-
-TEST(WhiteGaussian, FillMatchesSteppedNextExactly) {
-  WhiteGaussianNoise stepped(2.0, 1000.0, 0x77), batched(2.0, 1000.0, 0x77);
-  std::vector<double> expected(1000);
-  for (auto& x : expected) x = stepped.next();
-  std::vector<double> got(expected.size());
-  batched.fill(got);
-  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(got[i], expected[i]);
 }
 
 TEST(FilterBankFlicker, StationaryFromFirstSample) {
@@ -205,125 +183,6 @@ TEST(FilterBankFlicker, StationaryFromFirstSample) {
   for (std::size_t i = 0; i < 50'000; ++i) early.add(x[i]);
   for (std::size_t i = 150'000; i < 200'000; ++i) late.add(x[i]);
   EXPECT_NEAR(early.variance() / late.variance(), 1.0, 0.35);
-}
-
-TEST(KasdinFlicker, AnalyticPsdAtLowFrequency) {
-  KasdinFlicker::Config cfg;
-  cfg.alpha = 1.0;
-  cfg.sigma_w = KasdinFlicker::sigma_w_for_amplitude(1.0);
-  cfg.fs = 1.0;
-  KasdinFlicker src(cfg);
-  // Exact discrete PSD -> amplitude/f for f << fs.
-  for (double f : {1e-4, 1e-3, 1e-2}) {
-    EXPECT_NEAR(src.analytic_psd(f) * f, 1.0, 0.05) << "f = " << f;
-  }
-}
-
-TEST(KasdinFlicker, MeasuredSlopeMatchesAlpha) {
-  for (double alpha : {0.5, 1.0, 1.5}) {
-    KasdinFlicker::Config cfg;
-    cfg.alpha = alpha;
-    cfg.sigma_w = 1.0;
-    cfg.fs = 1.0;
-    cfg.fir_length = 1 << 13;
-    cfg.seed = 5 + static_cast<std::uint64_t>(alpha * 2);
-    KasdinFlicker src(cfg);
-    const auto x = collect(src, 1 << 18);
-    const auto est = stats::welch(x, 1.0, 1 << 12);
-    EXPECT_NEAR(stats::psd_slope(est, 2e-3, 0.1), -alpha, 0.12)
-        << "alpha = " << alpha;
-  }
-}
-
-TEST(KasdinFlicker, BlockGenerationIsSeamless) {
-  // next() across block boundaries must look statistically identical to a
-  // single fill; check no variance discontinuity around the block edge.
-  KasdinFlicker::Config cfg;
-  cfg.alpha = 1.0;
-  cfg.sigma_w = 1.0;
-  cfg.fs = 1.0;
-  cfg.block = 1 << 10;
-  cfg.fir_length = 1 << 12;
-  cfg.seed = 6;
-  KasdinFlicker src(cfg);
-  const auto x = collect(src, 1 << 15);
-  stats::RunningStats at_edges, mid_block;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t pos = i % (1 << 10);
-    if (pos < 16 || pos > (1 << 10) - 16) at_edges.add(x[i]);
-    else mid_block.add(x[i]);
-  }
-  EXPECT_NEAR(at_edges.variance() / mid_block.variance(), 1.0, 0.3);
-}
-
-TEST(Rtn, FlipRateAndMoments) {
-  const double lambda = 0.05;  // per second
-  const double fs = 1.0;
-  RandomTelegraphNoise rtn(1.0, lambda, fs, 7);
-  std::size_t flips = 0;
-  double prev = rtn.next();
-  const std::size_t n = 400'000;
-  stats::RunningStats rs;
-  rs.add(prev);
-  for (std::size_t i = 1; i < n; ++i) {
-    const double v = rtn.next();
-    if (v != prev) ++flips;
-    prev = v;
-    rs.add(v);
-  }
-  // Expected flips ~ n * (1 - exp(-lambda/fs)).
-  const double expected =
-      static_cast<double>(n) * (1.0 - std::exp(-lambda / fs));
-  EXPECT_NEAR(static_cast<double>(flips), expected, 5.0 * std::sqrt(expected));
-  EXPECT_NEAR(rs.mean(), 0.0, 0.05);
-  EXPECT_NEAR(rs.variance(), 1.0, 0.01);
-}
-
-TEST(Rtn, LorentzianPsdShape) {
-  const double lambda = 0.01;
-  RandomTelegraphNoise rtn(1.0, lambda, 1.0, 8);
-  // Analytic: flat below lambda/pi, -2 slope above.
-  const double low = rtn.analytic_psd(1e-5);
-  const double corner = rtn.analytic_psd(lambda / M_PI);
-  EXPECT_NEAR(corner / low, 0.5, 0.01);
-  const double high1 = rtn.analytic_psd(0.1);
-  const double high2 = rtn.analytic_psd(0.2);
-  EXPECT_NEAR(high1 / high2, 4.0, 0.05);
-}
-
-TEST(RtnSuperposition, ApproximatesOneOverF) {
-  RtnSuperposition::Config cfg;
-  cfg.traps = 30;
-  cfg.lambda_min = 1e-4;
-  cfg.lambda_max = 0.5;
-  cfg.amplitude = 1.0;
-  cfg.fs = 1.0;
-  cfg.seed = 9;
-  RtnSuperposition src(cfg);
-  EXPECT_EQ(src.trap_count(), 30u);
-  // Analytic Lorentzian sum slope ~ -1 in the mid-band.
-  std::vector<double> fs_grid, psd_vals;
-  for (double f = 3e-4; f < 3e-2; f *= 1.5) {
-    fs_grid.push_back(f);
-    psd_vals.push_back(src.analytic_psd(f));
-  }
-  double slope_sum = 0.0;
-  for (std::size_t i = 1; i < fs_grid.size(); ++i)
-    slope_sum += std::log(psd_vals[i] / psd_vals[i - 1]) /
-                 std::log(fs_grid[i] / fs_grid[i - 1]);
-  const double mean_slope =
-      slope_sum / static_cast<double>(fs_grid.size() - 1);
-  EXPECT_NEAR(mean_slope, -1.0, 0.25);
-}
-
-TEST(Voss, ProducesLowFrequencyExcess) {
-  VossMcCartney src(16, 1.0, 10);
-  const auto x = collect(src, 1 << 17);
-  const auto est = stats::welch(x, 1.0, 1 << 12);
-  const double slope = stats::psd_slope(est, 1e-3, 0.1);
-  // Voss is a stair-step pink approximation: slope in (-1.3, -0.5).
-  EXPECT_LT(slope, -0.5);
-  EXPECT_GT(slope, -1.4);
 }
 
 TEST(PowerLawPsd, EvaluationAndCoefficients) {

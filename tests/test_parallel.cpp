@@ -15,7 +15,6 @@
 #include "common/rng.hpp"
 #include "measurement/sigma_n_estimator.hpp"
 #include "noise/filter_bank.hpp"
-#include "noise/kasdin.hpp"
 
 namespace {
 
@@ -325,52 +324,6 @@ TEST(SweepDeterminism, IdenticalForOneAndEightThreads) {
   }
 }
 
-TEST(KasdinFill, MatchesSequentialNextStreamSampleForSample) {
-  GlobalPoolWidth width(8);
-
-  noise::KasdinFlicker::Config cfg;
-  cfg.fir_length = 1 << 10;
-  cfg.block = 1 << 8;
-  cfg.seed = 0x5eed;
-  noise::KasdinFlicker sequential(cfg);
-  noise::KasdinFlicker batched(cfg);
-
-  // Misalign the FIFO first so fill() starts mid-block; 70 blocks also
-  // crosses fill()'s 64-block staging-round boundary.
-  const std::size_t skip = 37;
-  std::vector<double> expected(skip + 70 * cfg.block + 41);
-  for (auto& x : expected) x = sequential.next();
-  std::vector<double> head(skip);
-  batched.fill(head);
-  std::vector<double> tail(expected.size() - skip);
-  batched.fill(tail);
-
-  for (std::size_t i = 0; i < skip; ++i) EXPECT_EQ(head[i], expected[i]);
-  for (std::size_t i = 0; i < tail.size(); ++i)
-    EXPECT_EQ(tail[i], expected[skip + i]) << "sample " << i;
-
-  // The generators must stay in lockstep after the batched path.
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(batched.next(), sequential.next());
-}
-
-TEST(KasdinFill, ShortBlockLongFilterStaysExact) {
-  // block < fir_length-1 exercises the history-spill path of the batched
-  // fill.
-  noise::KasdinFlicker::Config cfg;
-  cfg.fir_length = 64;
-  cfg.block = 16;
-  cfg.seed = 0xfeed;
-  noise::KasdinFlicker sequential(cfg);
-  noise::KasdinFlicker batched(cfg);
-
-  std::vector<double> expected(100);
-  for (auto& x : expected) x = sequential.next();
-  std::vector<double> got(expected.size());
-  batched.fill(got);
-  for (std::size_t i = 0; i < got.size(); ++i)
-    EXPECT_EQ(got[i], expected[i]) << "sample " << i;
-}
-
 TEST(FilterBankFill, ThreadCountInvariant) {
   // The per-stage fan-out folds stage contributions in stage order, so
   // the stream must be bit-identical for any pool width.
@@ -390,26 +343,6 @@ TEST(FilterBankFill, ThreadCountInvariant) {
   {
     GlobalPoolWidth width(8);
     noise::FilterBankFlicker gen(cfg);
-    gen.fill(eight);
-  }
-  for (std::size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], eight[i]);
-}
-
-TEST(KasdinFill, ThreadCountInvariant) {
-  noise::KasdinFlicker::Config cfg;
-  cfg.fir_length = 1 << 10;
-  cfg.block = 1 << 8;
-  cfg.seed = 77;
-
-  std::vector<double> one(4 * cfg.block), eight(4 * cfg.block);
-  {
-    GlobalPoolWidth width(1);
-    noise::KasdinFlicker gen(cfg);
-    gen.fill(one);
-  }
-  {
-    GlobalPoolWidth width(8);
-    noise::KasdinFlicker gen(cfg);
     gen.fill(eight);
   }
   for (std::size_t i = 0; i < one.size(); ++i) EXPECT_EQ(one[i], eight[i]);

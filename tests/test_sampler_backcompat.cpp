@@ -1,7 +1,7 @@
 // Back-compat pins for GaussianSampler::Method::Polar: the PR-5 policy
 // switch made the ziggurat the default engine, which changes every
 // realized Gaussian stream. These tests pin one PR-4-era seeded stream
-// per consumer (raw sampler, white, filter bank, kasdin) in Polar mode,
+// per consumer (raw sampler, filter bank) in Polar mode,
 // so the policy plumbing is provably non-destructive: as long as they
 // pass, any pre-PR-5 experiment can be reproduced bit-for-bit by
 // selecting Method::Polar. Pins are hexfloat literals captured from the
@@ -15,8 +15,6 @@
 
 #include "common/rng.hpp"
 #include "noise/filter_bank.hpp"
-#include "noise/kasdin.hpp"
-#include "noise/white.hpp"
 
 namespace {
 
@@ -35,19 +33,6 @@ TEST(SamplerBackCompat, RawPolarStreamSeed123) {
     EXPECT_EQ(g(), expected[i]) << "draw " << i;
 }
 
-TEST(SamplerBackCompat, WhiteGaussianPolarStream) {
-  // WhiteGaussianNoise(2.0, 1000.0, 0x77) — the seed test_noise uses
-  // for the fill bit-identity check — stepped through next().
-  WhiteGaussianNoise w(2.0, 1000.0, 0x77, SamplerPolicy{kPolar});
-  const std::array<double, 8> expected = {
-      -0x1.3bbaa2fc21ac8p+1, 0x1.c83ac5eb98d55p+0,  0x1.0f97d0249fd87p+0,
-      -0x1.7907fb8cbd2ccp+0, -0x1.edcad752392cbp-4, 0x1.94bd4fb1bb832p+1,
-      0x1.e4c83a60270a5p+0,  -0x1.0afcde19577adp-2,
-  };
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(w.next(), expected[i]) << "sample " << i;
-}
-
 TEST(SamplerBackCompat, FilterBankPolarStream) {
   FilterBankFlicker::Config cfg;
   cfg.amplitude = 1e-2;
@@ -64,25 +49,6 @@ TEST(SamplerBackCompat, FilterBankPolarStream) {
   };
   for (std::size_t i = 0; i < expected.size(); ++i)
     EXPECT_EQ(fb.next(), expected[i]) << "sample " << i;
-}
-
-TEST(SamplerBackCompat, KasdinPolarStream) {
-  KasdinFlicker::Config cfg;
-  cfg.alpha = 1.0;
-  cfg.sigma_w = 1.0;
-  cfg.fs = 1.0;
-  cfg.fir_length = 1 << 10;
-  cfg.block = 1 << 8;
-  cfg.seed = 0x4a5d17;
-  cfg.sampler.gauss_method = kPolar;
-  KasdinFlicker kf(cfg);
-  const std::array<double, 8> expected = {
-      0x1.f3aa73adab16cp-2,  0x1.98b642b760274p-4, 0x1.881f253e24ee9p-1,
-      0x1.ed7e41e95c7f8p-3,  0x1.86b7cb763add8p-2, 0x1.51732fc6b8735p-2,
-      0x1.430eed5f68b18p+0,  -0x1.dd37adab1043dp-2,
-  };
-  for (std::size_t i = 0; i < expected.size(); ++i)
-    EXPECT_EQ(kf.next(), expected[i]) << "sample " << i;
 }
 
 }  // namespace
