@@ -8,7 +8,7 @@
 //  * SplitMix64   — seed expansion (Steele, Lea, Flood 2014)
 //  * Xoshiro256pp — main uniform generator (Blackman & Vigna 2019)
 //  * GaussianSampler — normal sampler on top of Xoshiro256pp, with a
-//    method policy: the 256-layer ziggurat (common/ziggurat.hpp, the
+//    method policy: the 2048-layer ziggurat (common/ziggurat.hpp, the
 //    default engine) or the Marsaglia polar method (the pre-PR-5 engine,
 //    kept selectable so the old realized streams stay reproducible —
 //    see docs/ARCHITECTURE.md §5 "Sampler policy")
@@ -118,12 +118,46 @@ class Xoshiro256pp {
 
 namespace detail {
 
-// The ziggurat's ~98.5% fast path, inline so a scalar draw costs no
-// call (common/ziggurat.hpp has the scheme). Its tables are generated
-// at compile time in ziggurat.cpp and exported here: per layer, the
-// integer accept bound and the width scale.
-extern const std::array<std::uint64_t, 256> kZigguratAccept;
-extern const std::array<double, 256> kZigguratWidth;
+// The ziggurat's fast path (~99.77% of draws), inline so a scalar draw
+// costs no call (common/ziggurat.hpp has the scheme). Its tables are
+// generated at compile time in ziggurat.cpp and exported here: per
+// layer, the integer accept bound and the width scale.
+//
+// One 64-bit word per attempt: the low kZigguratLayerBits bits pick the
+// layer, the next bit is the sign, and the 52 bits above it the
+// magnitude. kZigguratLayerBits is the table's one size knob; the layer
+// count, the word layout and the table (ziggurat.cpp) all follow it, and
+// ziggurat.cpp fails to compile unless ZigguratNormal's (r, V) close a
+// table of that size.
+inline constexpr unsigned kZigguratLayerBits = 11;
+inline constexpr std::size_t kZigguratLayers = std::size_t{1}
+                                               << kZigguratLayerBits;
+static_assert(kZigguratLayerBits + 1 + 52 <= 64,
+              "layer index, sign and 52-bit magnitude must fit one word");
+
+extern const std::array<std::uint64_t, kZigguratLayers> kZigguratAccept;
+extern const std::array<double, kZigguratLayers> kZigguratWidth;
+
+/// The layer a word picks: its low kZigguratLayerBits bits.
+constexpr std::size_t ziggurat_layer(std::uint64_t bits) noexcept {
+  return bits & (kZigguratLayers - 1);
+}
+
+/// The word's 52-bit magnitude, from the bits above the sign bit.
+constexpr std::uint64_t ziggurat_magnitude(std::uint64_t bits) noexcept {
+  return (bits >> (kZigguratLayerBits + 1)) & 0xfffffffffffffULL;
+}
+
+/// The word's sign bit, moved to bit 63 so it ORs into a double.
+constexpr std::uint64_t ziggurat_sign(std::uint64_t bits) noexcept {
+  return (bits >> kZigguratLayerBits) << 63;
+}
+
+/// Whether a draw's first word lands under its layer's fast-accept
+/// bound; one that does not goes to ziggurat_finish.
+inline bool ziggurat_fast_accept(std::uint64_t bits) noexcept {
+  return ziggurat_magnitude(bits) < kZigguratAccept[ziggurat_layer(bits)];
+}
 
 /// Finishes a ziggurat draw whose first word `bits` missed the fast
 /// accept: the exact wedge and tail code (ziggurat.cpp), out of line.
@@ -133,20 +167,18 @@ extern const std::array<double, 256> kZigguratWidth;
                                          std::uint64_t bits) noexcept;
 
 /// One N(0,1) ziggurat variate: one 64-bit word, one table lookup and
-/// one multiply on the fast path. The low 8 bits pick the layer, bit 8
-/// the sign (OR-ed into the double, branch-free), the top 52 bits the
-/// magnitude.
+/// one multiply on the fast path, the sign OR-ed into the double
+/// (branch-free).
 inline double ziggurat_draw(Xoshiro256pp& rng) noexcept {
   const std::uint64_t bits = rng.next();
-  const std::size_t idx = bits & 0xffu;
-  const std::uint64_t rabs = (bits >> 9) & 0xfffffffffffffULL;
-  if (rabs < kZigguratAccept[idx]) [[likely]] {
-    // rabs < 2^52, so the int64_t cast is exact and keeps the
-    // conversion on the fast signed cvt path.
-    const double x = static_cast<double>(static_cast<std::int64_t>(rabs)) *
-                     kZigguratWidth[idx];
+  if (ziggurat_fast_accept(bits)) [[likely]] {
+    // The magnitude is < 2^52, so the int64_t cast is exact and keeps
+    // the conversion on the fast signed cvt path.
+    const double x = static_cast<double>(static_cast<std::int64_t>(
+                         ziggurat_magnitude(bits))) *
+                     kZigguratWidth[ziggurat_layer(bits)];
     return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) |
-                                 ((bits & 0x100u) << 55));
+                                 ziggurat_sign(bits));
   }
   return ziggurat_finish(rng, bits);
 }
@@ -154,7 +186,7 @@ inline double ziggurat_draw(Xoshiro256pp& rng) noexcept {
 }  // namespace detail
 
 /// Standard-normal sampler (mean 0, variance 1) with a selectable
-/// engine. Method::Ziggurat (default) is the 256-layer table-driven
+/// engine. Method::Ziggurat (default) is the 2048-layer table-driven
 /// sampler; Method::Polar is the Marsaglia polar method (caching the
 /// second variate of each pair) that every stream used before PR 5.
 /// The two methods realize different streams from the same seed; code
@@ -162,7 +194,7 @@ inline double ziggurat_draw(Xoshiro256pp& rng) noexcept {
 class GaussianSampler {
  public:
   enum class Method : std::uint8_t {
-    Ziggurat,  ///< 256-layer ziggurat (common/ziggurat.hpp) — default
+    Ziggurat,  ///< 2048-layer ziggurat (common/ziggurat.hpp) — default
     Polar,     ///< Marsaglia polar — the pre-PR-5 streams, bit-for-bit
   };
 

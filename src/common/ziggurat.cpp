@@ -15,7 +15,7 @@ namespace {
 // consteval math. std::exp/log/sqrt are not constexpr in C++20, so the
 // table generator brings its own: argument-reduced Taylor exp, atanh-
 // series log, and Newton sqrt, each accurate to ~1 ulp over the ranges
-// the recurrence visits (x in [0, 3.66], densities in [1.3e-3, 1]).
+// the recurrence visits (x in [0, 4.22], densities in [1.3e-4, 1]).
 // ---------------------------------------------------------------------
 
 constexpr double kLn2 = 0.69314718055994530941723212145818;
@@ -75,23 +75,26 @@ consteval double csqrt(double v) {
 }
 
 // ---------------------------------------------------------------------
-// Layer tables. 256 regions of equal area V: the base strip plus tail
-// (layer 0) and 255 stacked rectangles with right edges x_0 = r down to
-// x_255 = 0, where f(x) = exp(-x^2/2) and the recurrence is
-// x_i = f^{-1}(V/x_{i-1} + f(x_{i-1})). (r, V) are the published
-// 256-layer constants (Marsaglia & Tsang 2000; Doornik 2005).
+// Layer tables. L = 2^kZigguratLayerBits regions of equal area V: the
+// base strip plus tail (layer 0) and L-1 stacked rectangles with right
+// edges x_0 = r down to x_{L-1} = 0, where f(x) = exp(-x^2/2) and the
+// recurrence is x_i = f^{-1}(V/x_{i-1} + f(x_{i-1})). (r, V) close the
+// recurrence at the mode for L = 2048 (ziggurat.hpp; Marsaglia & Tsang
+// 2000 give the scheme and the 256-layer pair).
 // ---------------------------------------------------------------------
 
-constexpr std::size_t kLayers = 256;
-constexpr double kR = 3.6541528853610087963519472518;
+constexpr unsigned kLayerBits = detail::kZigguratLayerBits;
+constexpr std::size_t kLayers = detail::kZigguratLayers;
+constexpr double kR = ZigguratNormal::kTailEdge;
 constexpr double kInvR = 1.0 / kR;
-constexpr double kV = 0.00492867323399141470237287454652;
+constexpr double kV = ZigguratNormal::kLayerArea;
 constexpr double kM52 = 4503599627370496.0;  // 2^52: magnitude resolution
 
 struct Tables {
   std::array<std::uint64_t, kLayers> ki{};  ///< fast-accept bound per layer
   std::array<double, kLayers> wi{};         ///< layer width / 2^52
   std::array<double, kLayers> fi{};         ///< f at the layer's right edge
+  double closure_gap = 0.0;  ///< V/x_{L-2} + f(x_{L-2}) - 1: 0 when closed
 };
 
 consteval Tables make_tables() {
@@ -104,6 +107,7 @@ consteval Tables make_tables() {
   t.ki[0] = static_cast<std::uint64_t>(kR / t.wi[0]);
   t.fi[0] = f_prev;
   for (std::size_t i = 1; i < kLayers; ++i) {
+    if (i == kLayers - 1) t.closure_gap = kV / x_prev + f_prev - 1.0;
     const double x =
         i < kLayers - 1
             ? csqrt(-2.0 * clog(kV / x_prev + f_prev))  // f^{-1} step
@@ -118,6 +122,16 @@ consteval Tables make_tables() {
 }
 
 constexpr Tables kTab = make_tables();
+// A layer count without its own (r, V) leaves the top layer short of the
+// mode or past it; this catches it at compile time.
+static_assert(kTab.closure_gap > -1e-9 && kTab.closure_gap < 1e-9,
+              "(r, V) do not close the ziggurat at kZigguratLayers layers");
+
+// Every path reads the accept bounds and widths from the one exported
+// copy (detail::kZigguratAccept/kZigguratWidth, defined below), so the
+// inline draw, the lane kernels and the wedge share their cache lines;
+// only the wedge needs the density ordinates.
+constexpr std::array<double, kLayers> kDensity = kTab.fi;
 
 /// The random sign lands in the double's sign bit via OR — a branch
 /// here would mispredict half the time and dominate the fast path.
@@ -133,14 +147,16 @@ inline double apply_sign(double magnitude, std::uint64_t sign_bit) noexcept {
 // scalar wedge/tail logic finish the draw.
 inline double draw_from_word(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
   for (;;) {
-    const std::size_t idx = bits & 0xffu;
-    const std::uint64_t sign_bit = (bits & 0x100u) << 55;  // bit 8 -> bit 63
-    const std::uint64_t rabs = (bits >> 9) & 0xfffffffffffffULL;  // 52 bits
+    const std::size_t idx = detail::ziggurat_layer(bits);
+    const std::uint64_t sign_bit = detail::ziggurat_sign(bits);
+    const std::uint64_t rabs = detail::ziggurat_magnitude(bits);
     // rabs < 2^52, so the int64_t cast is exact and keeps the
     // conversion on the fast signed cvt path.
     const double x =
-        static_cast<double>(static_cast<std::int64_t>(rabs)) * kTab.wi[idx];
-    if (rabs < kTab.ki[idx]) return apply_sign(x, sign_bit);  // ~98.5%
+        static_cast<double>(static_cast<std::int64_t>(rabs)) *
+        detail::kZigguratWidth[idx];
+    if (rabs < detail::kZigguratAccept[idx])
+      return apply_sign(x, sign_bit);  // ~99.77%
     if (idx == 0) {
       // Exact tail beyond r (Marsaglia): x = -ln(U1)/r, y = -ln(U2),
       // accept when 2y > x^2; the accepted r + x has the conditional
@@ -152,8 +168,8 @@ inline double draw_from_word(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
       }
     }
     // Wedge: y uniform over [f(x_{idx-1}), f(x_idx)] against the density.
-    if (kTab.fi[idx - 1] +
-            (kTab.fi[idx] - kTab.fi[idx - 1]) * rng.uniform() <
+    if (kDensity[idx - 1] +
+            (kDensity[idx] - kDensity[idx - 1]) * rng.uniform() <
         std::exp(-0.5 * x * x))
       return apply_sign(x, sign_bit);
     bits = rng.next();
@@ -165,7 +181,7 @@ inline double draw_from_word(Xoshiro256pp& rng, std::uint64_t bits) noexcept {
 // arrays (one vector per state word; integer rotate/shift/xor are exact,
 // so each lane's word sequence is the scalar generator's), the layer
 // tables are gathered per lane, and the fast-path accept test is one
-// 64-bit vector compare. When a lane misses the ~98.5% accept, the
+// 64-bit vector compare. When a lane misses the ~99.77% accept, the
 // states go to memory once; each missed lane finishes its draw through
 // detail::ziggurat_finish (consuming that lane's stream alone) and its
 // new state is written back into the live registers, lane by lane.
@@ -195,8 +211,7 @@ PTRNG_SIMD_TARGET void fill_lanes4_kernel(Xoshiro256pp* const* rngs,
   simd::i64x4 s1 = simd::load4(st[1]);
   simd::i64x4 s2 = simd::load4(st[2]);
   simd::i64x4 s3 = simd::load4(st[3]);
-  const simd::i64x4 idx_mask = simd::splat4(std::uint64_t{0xff});
-  const simd::i64x4 sign_mask = simd::splat4(std::uint64_t{0x100});
+  const simd::i64x4 idx_mask = simd::splat4(std::uint64_t{kLayers - 1});
   const simd::i64x4 rabs_mask = simd::splat4(std::uint64_t{0xfffffffffffff});
   for (std::size_t i = 0; i < n; ++i) {
     // xoshiro256++ step across lanes (same ops as Xoshiro256pp::next).
@@ -208,11 +223,12 @@ PTRNG_SIMD_TARGET void fill_lanes4_kernel(Xoshiro256pp* const* rngs,
     s0 = s0 ^ s3;
     s2 = s2 ^ t;
     s3 = simd::rotl<45>(s3);
+    // Word layout as in detail::ziggurat_layer/_sign/_magnitude.
     const simd::i64x4 idx = word & idx_mask;
-    const simd::i64x4 sign = simd::shl<55>(word & sign_mask);
-    const simd::i64x4 rabs = simd::shr<9>(word) & rabs_mask;
-    const simd::f64x4 wi = simd::gather4(kTab.wi.data(), idx);
-    const simd::i64x4 ki = simd::gather4(kTab.ki.data(), idx);
+    const simd::i64x4 sign = simd::shl<63>(simd::shr<kLayerBits>(word));
+    const simd::i64x4 rabs = simd::shr<kLayerBits + 1>(word) & rabs_mask;
+    const simd::f64x4 wi = simd::gather4(detail::kZigguratWidth.data(), idx);
+    const simd::i64x4 ki = simd::gather4(detail::kZigguratAccept.data(), idx);
     const simd::f64x4 x = simd::u52_to_f64(rabs) * wi;
     simd::store4(out + 4 * i, simd::or_bits(x, sign));
     const int accept = simd::lt_mask_i64(rabs, ki);
@@ -269,8 +285,7 @@ PTRNG_SIMD_TARGET_AVX512 void fill_lanes8_kernel(Xoshiro256pp* const* rngs,
   __m512i s1 = _mm512_load_si512(st[1]);
   __m512i s2 = _mm512_load_si512(st[2]);
   __m512i s3 = _mm512_load_si512(st[3]);
-  const __m512i idx_mask = _mm512_set1_epi64(0xff);
-  const __m512i sign_mask = _mm512_set1_epi64(0x100);
+  const __m512i idx_mask = _mm512_set1_epi64(kLayers - 1);
   const __m512i rabs_mask = _mm512_set1_epi64(0xfffffffffffff);
   double* const out_hi = out + 4 * n;
   for (std::size_t i = 0; i < n; ++i) {
@@ -285,11 +300,13 @@ PTRNG_SIMD_TARGET_AVX512 void fill_lanes8_kernel(Xoshiro256pp* const* rngs,
     s3 = _mm512_rol_epi64(s3, 45);
     const __m512i idx = _mm512_and_si512(word, idx_mask);
     const __m512i sign =
-        _mm512_slli_epi64(_mm512_and_si512(word, sign_mask), 55);
+        _mm512_slli_epi64(_mm512_srli_epi64(word, kLayerBits), 63);
     const __m512i rabs =
-        _mm512_and_si512(_mm512_srli_epi64(word, 9), rabs_mask);
-    const __m512d wi = _mm512_i64gather_pd(idx, kTab.wi.data(), 8);
-    const __m512i ki = _mm512_i64gather_epi64(idx, kTab.ki.data(), 8);
+        _mm512_and_si512(_mm512_srli_epi64(word, kLayerBits + 1), rabs_mask);
+    const __m512d wi =
+        _mm512_i64gather_pd(idx, detail::kZigguratWidth.data(), 8);
+    const __m512i ki =
+        _mm512_i64gather_epi64(idx, detail::kZigguratAccept.data(), 8);
     // rabs < 2^52: the conversion is exact, as the scalar cast is.
     const __m512d x = _mm512_mul_pd(_mm512_cvtepi64_pd(rabs), wi);
     const __m512d res = _mm512_castsi512_pd(

@@ -4,6 +4,7 @@
 
 #include "ignore_result.hpp"
 
+#include <sstream>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -298,7 +299,14 @@ INSTANTIATE_TEST_SUITE_P(
                       0.45029999999999998, 1.3222589203348414,
                       7.9412843224026135},
         ProcedureBKat{0xC0DE, 0.40, false, false, true, false,
-                      0.39676, 1.0283865282307292, 7.7649168767544845}));
+                      0.39676, 1.0283865282307292, 7.7649168767544845}),
+    // Named by seed: gtest's default name is a byte dump of the struct,
+    // padding included, which differs from build to build.
+    [](const ::testing::TestParamInfo<ProcedureBKat>& info) {
+      std::ostringstream name;
+      name << "seed_0x" << std::uppercase << std::hex << info.param.seed;
+      return name.str();
+    });
 
 TEST(Procedures, SizeRequirementsEnforced) {
   const auto tiny = ideal_bits(1000, 20);
