@@ -4,7 +4,7 @@
 
 #include "ignore_result.hpp"
 
-#include <sstream>
+#include <ostream>
 #include <vector>
 
 #include "common/contracts.hpp"
@@ -267,6 +267,13 @@ struct ProcedureBKat {
   double t6_stat, t7_stat, t8_stat;
 };
 
+// Prints a case by its seed. gtest_discover_tests names each ctest case
+// by this print (.../seed_0xA15); without it gtest dumps the struct's
+// bytes, padding included, so the names changed from build to build.
+void PrintTo(const ProcedureBKat& kat, std::ostream* os) {
+  *os << "seed_0x" << std::uppercase << std::hex << kat.seed;
+}
+
 class ProcedureBKatTest : public ::testing::TestWithParam<ProcedureBKat> {};
 
 TEST_P(ProcedureBKatTest, PinnedVerdictsAndStatistics) {
@@ -299,14 +306,7 @@ INSTANTIATE_TEST_SUITE_P(
                       0.45029999999999998, 1.3222589203348414,
                       7.9412843224026135},
         ProcedureBKat{0xC0DE, 0.40, false, false, true, false,
-                      0.39676, 1.0283865282307292, 7.7649168767544845}),
-    // Named by seed: gtest's default name is a byte dump of the struct,
-    // padding included, which differs from build to build.
-    [](const ::testing::TestParamInfo<ProcedureBKat>& info) {
-      std::ostringstream name;
-      name << "seed_0x" << std::uppercase << std::hex << info.param.seed;
-      return name.str();
-    });
+                      0.39676, 1.0283865282307292, 7.7649168767544845}));
 
 TEST(Procedures, SizeRequirementsEnforced) {
   const auto tiny = ideal_bits(1000, 20);
